@@ -3,7 +3,7 @@ correlation in bipartite states."""
 
 __version__ = "0.1.0"
 
-from .basis import HermitianBasis, gell_mann_basis, pauli_gell_mann_basis, rotate_basis, verify_orthonormal
+from .basis import HermitianBasis, gell_mann_basis, pauli_gell_mann_basis
 from .bloch import BlochForm, correlation_matrix, decompose, reconstruct
 from .classify import (
     BellDiagonalSpec,
@@ -12,7 +12,6 @@ from .classify import (
     check_classical_classical,
     check_classical_quantum,
     check_quantum_classical,
-    check_rho2_family,
     classify_bell_diagonal,
     dakic_condition,
 )
@@ -24,9 +23,8 @@ from .linalg import (
     ShapeError,
     Tolerance,
     UnitarityError,
+    check_unitary,
     is_hermitian,
-    is_unitary,
-    matmul,
     numerical_rank,
     validate_density,
 )
@@ -39,7 +37,6 @@ from .measurement import (
     consistency_check,
     from_unitary,
     lift_matrix,
-    lift_matrix_nonorthonormal,
 )
 from .sampler import (
     InvarianceReport,

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .linalg import BasisError, DEFAULT_TOL, Tolerance, as_matrix, frobenius
+from .linalg import BasisError, DEFAULT_TOL
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -16,119 +17,92 @@ class HermitianBasis:
     """Ordered orthonormal basis of the m x m traceless Hermitian matrices.
 
     Each label is one of ``diagonal(p)``, ``symmetric(k,l)``, ``antisymmetric(k,l)``.
+    Construction checks the shape, Hermiticity and tracelessness of every
+    element and that the Hilbert-Schmidt Gram matrix is the identity, all at
+    DEFAULT_TOL.eq_abs, so every instance is a valid basis.  The elements are
+    read-only views of one read-only stack.
     """
 
     dim: int
     elements: tuple
     labels: tuple
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.elements) != self.dim**2 - 1:
-            raise BasisError(
-                f"dim {self.dim} needs {self.dim**2 - 1} elements, got {len(self.elements)}"
-            )
-        if len(self.labels) != len(self.elements):
+        m, k = self.dim, self.dim**2 - 1
+        if len(self.elements) != k:
+            raise BasisError(f"dim {m} needs {k} elements, got {len(self.elements)}")
+        if len(self.labels) != k:
             raise BasisError("one label per element required")
+        shapes = sorted({np.shape(w) for w in self.elements})
+        if shapes != [(m, m)]:
+            raise BasisError(f"basis elements must have shape {(m, m)}, got {shapes}")
+        stack = np.array(self.elements, dtype=complex)
+        eq = DEFAULT_TOL.eq_abs
+        # Written as "not <=" so that NaN entries fail the checks.
+        if not np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))) <= eq:
+            raise BasisError("basis elements must be Hermitian")
+        if not np.max(np.abs(np.trace(stack, axis1=1, axis2=2))) <= eq:
+            raise BasisError("basis elements must be traceless")
+        gram = np.einsum("iab,jab->ij", stack.conj(), stack)
+        if not np.max(np.abs(gram - np.eye(k))) <= eq:
+            raise BasisError("basis must be Hilbert-Schmidt orthonormal")
+        stack.setflags(write=False)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "elements", tuple(stack))
 
     def stack(self) -> np.ndarray:
-        """Elements as a (m^2-1, m, m) array."""
-        return np.stack(self.elements)
+        """Elements as a read-only (m^2-1, m, m) array."""
+        return self._stack
 
 
-def _diagonal_generator(p: int, m: int) -> np.ndarray:
-    w = np.zeros((m, m), dtype=complex)
-    coeff = np.sqrt(1.0 / (p * (p + 1)))
-    for a in range(p):
-        w[a, a] = coeff
-    w[p, p] = -p * coeff
-    return w
-
-
-def _symmetric_generator(k: int, l: int, m: int) -> np.ndarray:
-    w = np.zeros((m, m), dtype=complex)
-    w[k, l] = 1.0 / _SQRT2
-    w[l, k] = 1.0 / _SQRT2
-    return w
-
-
-def _antisymmetric_generator(k: int, l: int, m: int) -> np.ndarray:
-    # i(|k><l| - |l><k|)/sqrt(2)
-    w = np.zeros((m, m), dtype=complex)
-    w[k, l] = 1j / _SQRT2
-    w[l, k] = -1j / _SQRT2
-    return w
-
-
+@lru_cache(maxsize=None)
 def gell_mann_basis(m: int) -> HermitianBasis:
     """Canonical ordering: diagonal p=1..m-1, then symmetric (k,l) for k<l
-    lexicographic, then antisymmetric (k,l) in the same order."""
+    lexicographic, then antisymmetric (k,l) in the same order.
+
+    Memoized: every call with the same m returns the same read-only basis.
+    """
     if m < 2:
         raise ValueError(f"basis needs dimension >= 2, got {m}")
-    elements = []
-    labels = []
-    for p in range(1, m):
-        elements.append(_diagonal_generator(p, m))
-        labels.append(f"diagonal({p})")
     pairs = [(k, l) for k in range(m) for l in range(k + 1, m)]
-    for k, l in pairs:
-        elements.append(_symmetric_generator(k, l, m))
-        labels.append(f"symmetric({k},{l})")
-    for k, l in pairs:
-        elements.append(_antisymmetric_generator(k, l, m))
-        labels.append(f"antisymmetric({k},{l})")
-    return HermitianBasis(dim=m, elements=tuple(elements), labels=tuple(labels))
+    labels = (
+        [f"diagonal({p})" for p in range(1, m)]
+        + [f"symmetric({k},{l})" for k, l in pairs]
+        + [f"antisymmetric({k},{l})" for k, l in pairs]
+    )
+    stack = np.zeros((m * m - 1, m, m), dtype=complex)
+    for p in range(1, m):
+        coeff = np.sqrt(1.0 / (p * (p + 1)))
+        stack[p - 1, range(p), range(p)] = coeff
+        stack[p - 1, p, p] = -p * coeff
+    for i, (k, l) in enumerate(pairs, start=m - 1):
+        stack[i, k, l] = stack[i, l, k] = 1.0 / _SQRT2
+        # i(|k><l| - |l><k|)/sqrt(2)
+        stack[i + len(pairs), k, l] = 1j / _SQRT2
+        stack[i + len(pairs), l, k] = -1j / _SQRT2
+    return HermitianBasis(dim=m, elements=tuple(stack), labels=tuple(labels))
 
 
+@lru_cache(maxsize=None)
 def pauli_gell_mann_basis(m: int) -> HermitianBasis:
     """Textbook interleaved ordering, scaled to unit Hilbert-Schmidt norm.
 
     For m=2 this is (sigma_1, sigma_2, sigma_3)/sqrt(2); for m=3 it is
-    (lambda_1, ..., lambda_8)/sqrt(2).  The antisymmetric elements carry the
-    textbook sign, i(|l><k| - |k><l|)/sqrt(2).
+    (lambda_1, ..., lambda_8)/sqrt(2).  The elements are those of
+    gell_mann_basis(m), reordered, with the antisymmetric ones negated to the
+    textbook sign i(|l><k| - |k><l|)/sqrt(2).  Memoized like gell_mann_basis.
     """
-    if m < 2:
-        raise ValueError(f"basis needs dimension >= 2, got {m}")
-    elements = []
+    canonical = gell_mann_basis(m)
     labels = []
     for l in range(1, m):
         for k in range(l):
-            elements.append(_symmetric_generator(k, l, m))
-            labels.append(f"symmetric({k},{l})")
-            elements.append(-_antisymmetric_generator(k, l, m))
-            labels.append(f"antisymmetric({k},{l})")
-        elements.append(_diagonal_generator(l, m))
+            labels += [f"symmetric({k},{l})", f"antisymmetric({k},{l})"]
         labels.append(f"diagonal({l})")
-    return HermitianBasis(dim=m, elements=tuple(elements), labels=tuple(labels))
-
-
-def verify_orthonormal(b: HermitianBasis, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff every element is m x m, Hermitian, traceless, and the Gram
-    matrix under the Hilbert-Schmidt inner product is the identity."""
-    m = b.dim
-    for w in b.elements:
-        w = np.asarray(w)
-        if w.shape != (m, m):
-            return False
-        if np.max(np.abs(w - w.conj().T)) > tol.eq_abs:
-            return False
-        if abs(np.trace(w)) > tol.eq_abs:
-            return False
-    stack = b.stack()
-    gram = np.einsum("iab,jab->ij", stack.conj(), stack)
-    return bool(np.max(np.abs(gram - np.eye(len(b.elements)))) <= tol.eq_abs)
-
-
-def rotate_basis(b: HermitianBasis, o, tol: Tolerance = DEFAULT_TOL) -> HermitianBasis:
-    """New element j is sum_i b.elements[i] * o[i, j]; o must be orthogonal."""
-    o = np.asarray(as_matrix(o).real)
-    k = len(b.elements)
-    if o.shape != (k, k):
-        raise BasisError(f"rotation must be {k}x{k}, got {o.shape}")
-    if frobenius(o @ o.T - np.eye(k)) > tol.eq_abs:
-        raise BasisError("rotation matrix is not orthogonal within tolerance")
-    rotated = np.einsum("iab,ij->jab", b.stack(), o)
-    return HermitianBasis(
-        dim=b.dim,
-        elements=tuple(rotated),
-        labels=tuple(f"rotated({j})" for j in range(k)),
+    index = {lab: i for i, lab in enumerate(canonical.labels)}
+    stack = canonical.stack()
+    elements = tuple(
+        -stack[index[lab]] if lab.startswith("antisymmetric") else stack[index[lab]]
+        for lab in labels
     )
+    return HermitianBasis(dim=m, elements=elements, labels=tuple(labels))

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import HermitianBasis, verify_orthonormal
-from .linalg import BasisError, DEFAULT_TOL, ShapeError, Tolerance, as_matrix, is_hermitian
+from .basis import HermitianBasis
+from .linalg import DEFAULT_TOL, ShapeError, Tolerance, as_matrix, is_hermitian
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,6 @@ def decompose(
         raise ShapeError(f"state must be {m * n}x{m * n}, got {rho.shape}")
     if not is_hermitian(rho, tol):
         raise ValueError("state is not Hermitian within tolerance")
-    if not (verify_orthonormal(basis_a, tol) and verify_orthonormal(basis_b, tol)):
-        raise BasisError("bases must be Hilbert-Schmidt orthonormal")
     rho4 = rho.reshape(m, n, m, n)
     mu = basis_a.stack()
     nu = basis_b.stack()

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import gell_mann_basis
 from .bloch import BlochForm, correlation_matrix
 from .linalg import DEFAULT_TOL, InvalidStateError, Tolerance, numerical_rank
 
@@ -61,7 +60,7 @@ def dakic_condition(bf: BlochForm, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Baseline screen: classical-quantum states have block correlation
     matrix rank at most m.  Strictly weaker than check_classical_quantum."""
     evidence = correlation_matrix(bf)
-    return _verdict(CLASSICAL_QUANTUM, evidence, min(bf.m, bf.n), tol)
+    return _verdict(CLASSICAL_QUANTUM, evidence, bf.m, tol)
 
 
 @dataclass(frozen=True)
@@ -120,27 +119,3 @@ def classify_bell_diagonal(
         separable=separable,
         nonzero_correlations=nonzero,
     )
-
-
-def check_rho2_family(t, m: int, tol: Tolerance = DEFAULT_TOL) -> Verdict:
-    """Screen the m (x) m family with R = S = 0 and T = diag(t) in the
-    canonical basis.
-
-    More than m-1 nonzero diagonal correlations rule out both one-sided
-    classical classes; the two one-sided checks coincide here by symmetry, so
-    the classical-quantum verdict is returned.
-    """
-    t = np.asarray(t, dtype=float)
-    if t.shape != (m * m - 1,):
-        raise ValueError(f"need {m * m - 1} diagonal correlations, got {t.shape}")
-    b = gell_mann_basis(m)
-    bf = BlochForm(
-        m=m,
-        n=m,
-        R=np.zeros(m * m - 1),
-        S=np.zeros(m * m - 1),
-        T=np.diag(t),
-        basis_a=b,
-        basis_b=b,
-    )
-    return check_classical_quantum(bf, tol)

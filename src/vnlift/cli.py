@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .basis import gell_mann_basis, verify_orthonormal
+from .basis import gell_mann_basis
 from .bloch import decompose
 from .classify import (
     BellDiagonalSpec,
@@ -21,7 +21,7 @@ from .classify import (
     classify_bell_diagonal,
     dakic_condition,
 )
-from .linalg import DEFAULT_TOL, Tolerance, numerical_rank, validate_density
+from .linalg import DEFAULT_TOL, BasisError, Tolerance, numerical_rank, validate_density
 from .measurement import consistency_check, from_unitary, lift_matrix
 from .sampler import (
     invariance_search,
@@ -187,8 +187,14 @@ def cmd_selftest(args) -> int:
     def record(name, ok):
         rows.append((name, ok))
 
+    # A HermitianBasis checks itself on construction, so a broken basis raises
+    # BasisError: FAIL here, and exit 2 from the rows below that use it.
     for m in (2, 3, 4):
-        record(f"basis orthonormal m={m}", verify_orthonormal(gell_mann_basis(m), tol))
+        try:
+            ok = gell_mann_basis(m).dim == m
+        except BasisError:
+            ok = False
+        record(f"basis orthonormal m={m}", ok)
 
     ok_lift = True
     ok_consist = True

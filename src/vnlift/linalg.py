@@ -54,14 +54,6 @@ def as_matrix(a) -> np.ndarray:
     return a
 
 
-def matmul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
 def frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
@@ -87,12 +79,15 @@ def is_hermitian(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     return bool(np.max(np.abs(a - a.conj().T), initial=0.0) <= tol.eq_abs)
 
 
-def is_unitary(a, tol: Tolerance = DEFAULT_TOL) -> bool:
+def check_unitary(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Return ``a`` as a complex matrix, or raise if ||AA^dag - I||_F > eq_abs."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
-        return False
-    eye = np.eye(a.shape[0])
-    return frobenius(a @ a.conj().T - eye) <= tol.eq_abs
+        raise ShapeError(f"unitary must be square, got {a.shape}")
+    defect = frobenius(a @ a.conj().T - np.eye(a.shape[0]))
+    if defect > tol.eq_abs:
+        raise UnitarityError(f"matrix is not unitary: ||AA^dag - I||_F = {defect:.3e}")
+    return a
 
 
 @dataclass(frozen=True)

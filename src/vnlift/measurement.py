@@ -7,16 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import HermitianBasis, verify_orthonormal
-from .linalg import (
-    BasisError,
-    DEFAULT_TOL,
-    ShapeError,
-    Tolerance,
-    UnitarityError,
-    as_matrix,
-    frobenius,
-)
+from .basis import HermitianBasis
+from .linalg import DEFAULT_TOL, ShapeError, Tolerance, as_matrix, check_unitary, frobenius
 
 
 @dataclass(frozen=True)
@@ -52,14 +44,8 @@ class LiftedMeasurement:
 
 
 def from_unitary(a, tol: Tolerance = DEFAULT_TOL) -> VonNeumannMeasurement:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"measurement unitary must be square, got {a.shape}")
-    m = a.shape[0]
-    defect = frobenius(a @ a.conj().T - np.eye(m))
-    if defect > tol.eq_abs:
-        raise UnitarityError(f"matrix is not unitary: ||AA^dag - I||_F = {defect:.3e}")
-    return VonNeumannMeasurement(dim=m, unitary=a)
+    a = check_unitary(a, tol)
+    return VonNeumannMeasurement(dim=a.shape[0], unitary=a)
 
 
 def apply(meas: VonNeumannMeasurement, x) -> np.ndarray:
@@ -68,9 +54,7 @@ def apply(meas: VonNeumannMeasurement, x) -> np.ndarray:
     m = meas.dim
     if x.shape != (m, m):
         raise ShapeError(f"operator must be {m}x{m}, got {x.shape}")
-    u = meas.unitary
-    diag = np.einsum("ia,ab,ib->i", u.conj(), x, u)
-    return np.einsum("i,ia,ib->ab", diag, u, u.conj())
+    return _applied_stack(meas, x[np.newaxis])[0]
 
 
 def _applied_stack(meas: VonNeumannMeasurement, elements: np.ndarray) -> np.ndarray:
@@ -85,13 +69,12 @@ def lift_matrix(
 ) -> LiftedMeasurement:
     """Matrix M with M[j, i] = Tr(mu_j^dag . channel(mu_i)).
 
-    Valid because the basis is Hilbert-Schmidt orthonormal; the entries of a
-    lift of Hermitian elements are real up to round-off.
+    Valid because every HermitianBasis is Hilbert-Schmidt orthonormal, which
+    its construction checks; the entries of a lift of Hermitian elements are
+    real up to round-off.
     """
     if b.dim != meas.dim:
         raise ShapeError(f"basis dim {b.dim} != measurement dim {meas.dim}")
-    if not verify_orthonormal(b, tol):
-        raise BasisError("basis is not Hilbert-Schmidt orthonormal")
     stack = b.stack()
     applied = _applied_stack(meas, stack)
     m_complex = np.einsum("jab,iab->ji", stack.conj(), applied)
@@ -101,41 +84,13 @@ def lift_matrix(
     return LiftedMeasurement(dim=meas.dim, matrix=m_complex.real, basis_labels=b.labels)
 
 
-def lift_matrix_nonorthonormal(
-    meas: VonNeumannMeasurement, elements, tol: Tolerance = DEFAULT_TOL
-) -> np.ndarray:
-    """Lift with respect to a merely linearly independent Hermitian set,
-    by solving the Gram system instead of projecting."""
-    stack = np.stack([as_matrix(e) for e in elements])
-    gram = np.einsum("jab,iab->ji", stack.conj(), stack)
-    if np.linalg.cond(gram) > 1.0 / tol.rank_rel:
-        raise BasisError("operator set is numerically linearly dependent")
-    applied = _applied_stack(meas, stack)
-    rhs = np.einsum("jab,iab->ji", stack.conj(), applied)
-    out = np.linalg.solve(gram, rhs)
-    imag = float(np.max(np.abs(out.imag)))
-    if imag > 1e3 * tol.eq_abs:
-        raise ValueError(f"lifted matrix has imaginary residue {imag:.3e}")
-    return out.real
-
-
-def _check_unitary(a, tol: Tolerance) -> np.ndarray:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square matrix, got {a.shape}")
-    defect = frobenius(a @ a.conj().T - np.eye(a.shape[0]))
-    if defect > tol.eq_abs:
-        raise UnitarityError(f"matrix is not unitary: defect {defect:.3e}")
-    return a
-
-
 def build_C(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Real m x (m^2-1) coefficient matrix (C1, C2, C3) of a unitary A.
 
     Column ordering matches the canonical basis: diagonal p=1..m-1, then
     symmetric (k,l) with k<l lexicographic, then antisymmetric (k,l).
     """
-    a = _check_unitary(a, tol)
+    a = check_unitary(a, tol)
     m = a.shape[0]
     absq = np.abs(a) ** 2
     cols = []
@@ -156,7 +111,7 @@ def build_C(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 def build_C0(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Complex m x (m^2-1) matrix with the same rank as build_C(a):
     columns alpha_i for i=1..m-1, then beta_kl for all ordered pairs k != l."""
-    a = _check_unitary(a, tol)
+    a = check_unitary(a, tol)
     m = a.shape[0]
     absq = np.abs(a) ** 2
     cols = [absq[:, 0] - absq[:, i] for i in range(1, m)]

@@ -159,11 +159,12 @@ def test_criterion_6_bell_diagonal_suite():
 
 def test_criterion_7_soundness_corpus():
     start = time.perf_counter()
-    for m, n in ((2, 2), (2, 3), (3, 3)):
+    for m, n in ((2, 2), (2, 3), (3, 3), (3, 2), (4, 3)):
         ba, bb = gell_mann_basis(m), gell_mann_basis(n)
         for k in range(500):
             bf = decompose(random_classical_quantum(m, n, 70_000 + k), ba, bb)
             assert not check_classical_quantum(bf).ruled_out
+            assert not dakic_condition(bf).ruled_out
             bf = decompose(random_quantum_classical(m, n, 80_000 + k), ba, bb)
             assert not check_quantum_classical(bf).ruled_out
             bf = decompose(random_classical_classical(m, n, 90_000 + k), ba, bb)

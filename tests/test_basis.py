@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vnlift import (
-    BasisError,
-    HermitianBasis,
-    gell_mann_basis,
-    pauli_gell_mann_basis,
-    rotate_basis,
-    verify_orthonormal,
-)
+from vnlift import BasisError, HermitianBasis, gell_mann_basis, pauli_gell_mann_basis
 from tests.conftest import SIGMA
 
 S2 = np.sqrt(2.0)
+
+
+def assert_gram_identity(b):
+    stack = b.stack()
+    gram = np.einsum("iab,jab->ij", stack.conj(), stack)
+    assert np.max(np.abs(gram - np.eye(len(b.elements)))) <= 1e-12
 
 
 def test_canonical_order_m2():
@@ -46,6 +45,27 @@ def test_pauli_order_m3_matches_standard_gell_mann():
     assert np.allclose(b.elements[1], lam2 / S2)
 
 
+def reference_gell_mann(m):
+    """Canonical elements from their definitions, one matrix at a time."""
+    ket = np.eye(m)
+    out = []
+    for p in range(1, m):
+        d = sum(np.outer(ket[a], ket[a]) for a in range(p)) - p * np.outer(ket[p], ket[p])
+        out.append(d / np.sqrt(p * (p + 1)))
+    pairs = [(k, l) for k in range(m) for l in range(k + 1, m)]
+    for k, l in pairs:
+        out.append((np.outer(ket[k], ket[l]) + np.outer(ket[l], ket[k])) / S2)
+    for k, l in pairs:
+        out.append(1j * (np.outer(ket[k], ket[l]) - np.outer(ket[l], ket[k])) / S2)
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_gell_mann_matches_definition(m):
+    for el, ref in zip(gell_mann_basis(m).elements, reference_gell_mann(m), strict=True):
+        assert np.max(np.abs(el - ref)) <= 1e-15
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_basis_invariants(m):
     b = gell_mann_basis(m)
@@ -53,12 +73,12 @@ def test_basis_invariants(m):
     for el in b.elements:
         assert np.allclose(el, el.conj().T, atol=1e-12)
         assert abs(np.trace(el)) <= 1e-12
-    assert verify_orthonormal(b)
+    assert_gram_identity(b)
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_pauli_basis_orthonormal(m):
-    assert verify_orthonormal(pauli_gell_mann_basis(m))
+    assert_gram_identity(pauli_gell_mann_basis(m))
 
 
 def test_rejects_m_below_two():
@@ -66,26 +86,54 @@ def test_rejects_m_below_two():
         gell_mann_basis(1)
 
 
-def test_verify_rejects_doubled_element():
+def test_gell_mann_basis_is_memoized():
+    assert gell_mann_basis(3) is gell_mann_basis(3)
+    assert pauli_gell_mann_basis(3) is pauli_gell_mann_basis(3)
+
+
+def test_basis_arrays_are_read_only():
     b = gell_mann_basis(2)
-    bad = HermitianBasis(dim=2, elements=(2 * b.elements[0],) + b.elements[1:], labels=b.labels)
-    assert not verify_orthonormal(bad)
+    with pytest.raises(ValueError):
+        b.elements[0][0, 0] = 5.0
+    with pytest.raises(ValueError):
+        b.stack()[0, 0, 0] = 5.0
+    assert b.elements[0][0, 0] == pytest.approx(1 / S2)
 
 
-def test_rotate_identity():
+def _replace_first(b, element):
+    return (element,) + b.elements[1:]
+
+
+def _invalid_elements(case):
     b = gell_mann_basis(2)
-    out = rotate_basis(b, np.eye(3))
-    for a, c in zip(b.elements, out.elements):
-        assert np.allclose(a, c)
+    if case == "doubled":
+        return _replace_first(b, 2 * b.elements[0]), "orthonormal"
+    if case == "mixed":
+        # Unit norm, Hermitian and traceless, but not orthogonal to elements[1].
+        return _replace_first(b, (b.elements[0] + b.elements[1]) / S2), "orthonormal"
+    if case == "non_hermitian":
+        return _replace_first(b, np.array([[0, 1], [0, 0]], dtype=complex)), "Hermitian"
+    if case == "non_traceless":
+        return _replace_first(b, np.eye(2) / S2), "traceless"
+    assert case == "wrong_shape"
+    return _replace_first(b, np.eye(3) / np.sqrt(3.0)), "shape"
 
 
-def test_rotate_permutation():
+@pytest.mark.parametrize(
+    "case", ["doubled", "mixed", "non_hermitian", "non_traceless", "wrong_shape"]
+)
+def test_construction_rejects_invalid_element(case):
+    elements, property_name = _invalid_elements(case)
+    with pytest.raises(BasisError, match=property_name):
+        HermitianBasis(dim=2, elements=elements, labels=gell_mann_basis(2).labels)
+
+
+def test_construction_rejects_wrong_counts():
     b = gell_mann_basis(2)
-    perm = np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1]])
-    out = rotate_basis(b, perm)
-    assert np.allclose(out.elements[0], SIGMA[1] / S2)
-    assert np.allclose(out.elements[1], SIGMA[3] / S2)
-    assert np.allclose(out.elements[2], -SIGMA[2] / S2)
+    with pytest.raises(BasisError):
+        HermitianBasis(dim=2, elements=b.elements[:2], labels=b.labels[:2])
+    with pytest.raises(BasisError):
+        HermitianBasis(dim=2, elements=b.elements, labels=b.labels[:2])
 
 
 def householder(v):
@@ -94,27 +142,13 @@ def householder(v):
 
 
 @given(st.integers(0, 2**32 - 1))
-def test_rotate_householder_stays_orthonormal(seed):
+def test_householder_rotated_basis_constructs(seed):
+    # Any orthogonal mix of a basis is again a basis, and construction accepts it.
     rng = np.random.default_rng(seed)
     o = householder(rng.standard_normal(8))
-    out = rotate_basis(gell_mann_basis(3), o)
-    assert verify_orthonormal(out)
-
-
-def test_rotate_composition():
-    rng = np.random.default_rng(5)
-    b = gell_mann_basis(2)
-    o1 = householder(rng.standard_normal(3))
-    o2 = householder(rng.standard_normal(3))
-    once = rotate_basis(rotate_basis(b, o1), o2)
-    combined = rotate_basis(b, o1 @ o2)
-    for a, c in zip(once.elements, combined.elements):
-        assert np.allclose(a, c, atol=1e-12)
-
-
-def test_rotate_rejects_non_orthogonal():
-    with pytest.raises(BasisError):
-        rotate_basis(gell_mann_basis(2), np.full((3, 3), 0.5))
+    rotated = np.einsum("iab,ij->jab", gell_mann_basis(3).stack(), o)
+    b = HermitianBasis(dim=3, elements=tuple(rotated), labels=tuple(map(str, range(8))))
+    assert_gram_identity(b)
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 4]))

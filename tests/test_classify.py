@@ -3,11 +3,11 @@ import pytest
 
 from vnlift import (
     BellDiagonalSpec,
+    BlochForm,
     InvalidStateError,
     check_classical_classical,
     check_classical_quantum,
     check_quantum_classical,
-    check_rho2_family,
     classify_bell_diagonal,
     dakic_condition,
     decompose,
@@ -53,18 +53,20 @@ def test_maximally_mixed_is_inconclusive_everywhere():
     assert not dakic_condition(bf).ruled_out
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (3, 2), (4, 2), (4, 3)])
 def test_sampled_classical_states_never_ruled_out(m, n):
     for seed in range(30):
         bf = bloch(random_classical_quantum(m, n, seed), m, n)
         v = check_classical_quantum(bf)
         assert not v.ruled_out and v.computed_rank <= m - 1
+        assert not dakic_condition(bf).ruled_out
         bf = bloch(random_quantum_classical(m, n, seed), m, n)
         assert not check_quantum_classical(bf).ruled_out
         bf = bloch(random_classical_classical(m, n, seed), m, n)
         assert not check_classical_quantum(bf).ruled_out
         assert not check_quantum_classical(bf).ruled_out
         assert not check_classical_classical(bf).ruled_out
+        assert not dakic_condition(bf).ruled_out
 
 
 def test_dakic_implication():
@@ -134,21 +136,23 @@ def test_bell_diagonal_consistent_with_rank_checks():
         assert verdict.quantum_quantum == both_ruled_out
 
 
-def test_rho2_family_m2():
-    v = check_rho2_family(np.array([0.3, 0.4, 0.0]), 2)
-    assert v.ruled_out
-
-
-def test_rho2_family_m3_inconclusive():
-    t = np.zeros(8)
-    t[0], t[3] = 0.2, 0.1
-    assert not check_rho2_family(t, 3).ruled_out
-
-
-def test_rho2_family_m3_ruled_out():
-    t = np.zeros(8)
-    t[0], t[3], t[6] = 0.2, 0.1, 0.15
-    assert check_rho2_family(t, 3).ruled_out
+@pytest.mark.parametrize(
+    "t,ruled_out",
+    [
+        ([0.3, 0.4, 0.0], True),
+        ([0.2, 0, 0, 0.1, 0, 0, 0, 0], False),
+        ([0.2, 0, 0, 0.1, 0, 0, 0.15, 0], True),
+    ],
+    ids=["m2", "m3_inconclusive", "m3_ruled_out"],
+)
+def test_rho2_family(t, ruled_out):
+    # R = S = 0 and T = diag(t): more than m-1 nonzero correlations rule out
+    # the classical-quantum class.
+    m = {3: 2, 8: 3}[len(t)]
+    b = gell_mann_basis(m)
+    zero = np.zeros(m * m - 1)
+    bf = BlochForm(m=m, n=m, R=zero, S=zero, T=np.diag(t), basis_a=b, basis_b=b)
+    assert check_classical_quantum(bf).ruled_out == ruled_out
 
 
 def test_rho_zero_just_below_validity_boundary():

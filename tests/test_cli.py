@@ -7,7 +7,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from vnlift import gell_mann_basis
+from vnlift import basis, gell_mann_basis, pauli_gell_mann_basis
 from vnlift.cli import main, matrix_to_pairs, pairs_to_matrix
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -114,6 +114,14 @@ def test_lift_non_unitary_exits_2(tmp_path):
     assert status == 2
 
 
+def test_tight_tol_eq_does_not_reject_the_library_basis():
+    # Basis validity is checked once at DEFAULT_TOL, independent of --tol-eq.
+    status, _ = run_cli(
+        "classify", os.path.join(FIXDIR, "maximally_mixed_2x2.json"), "--tol-eq", "1e-20"
+    )
+    assert status == 0
+
+
 def test_tolerance_flags_are_echoed():
     _, out = run_cli(
         "classify", os.path.join(FIXDIR, "rho0_x_2.json"),
@@ -127,3 +135,23 @@ def test_selftest_passes():
     status, out = run_cli("selftest", "--seed", "1")
     assert status == 0
     assert "FAIL" not in out
+
+
+@pytest.fixture
+def broken_basis(monkeypatch):
+    # Off-diagonal elements of norm sqrt(2): gell_mann_basis now builds a
+    # basis that is not orthonormal.
+    gell_mann_basis.cache_clear()
+    pauli_gell_mann_basis.cache_clear()
+    monkeypatch.setattr(basis, "_SQRT2", 1.0)
+    yield
+    monkeypatch.undo()
+    gell_mann_basis.cache_clear()
+    pauli_gell_mann_basis.cache_clear()
+
+
+def test_selftest_fails_on_broken_basis(broken_basis, capsys):
+    status, out = run_cli("selftest")
+    assert status != 0
+    assert "checks passed" not in out or "FAIL" in out
+    assert "orthonormal" in capsys.readouterr().err

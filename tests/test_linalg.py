@@ -5,8 +5,9 @@ from hypothesis import given, strategies as st
 from vnlift import (
     ShapeError,
     Tolerance,
+    UnitarityError,
+    check_unitary,
     is_hermitian,
-    matmul,
     numerical_rank,
     random_unitary,
     validate_density,
@@ -14,37 +15,6 @@ from vnlift import (
 from tests.conftest import SIGMA, rho_zero
 
 TOL = Tolerance()
-
-
-def naive_matmul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=complex)
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            for k in range(a.shape[1]):
-                out[i, j] += a[i, k] * b[k, j]
-    return out
-
-
-def test_matmul_identity():
-    x = np.array([[1, 2j], [3, 4]], dtype=complex)
-    assert np.array_equal(matmul(np.eye(2), x), x)
-
-
-def test_matmul_pauli_involution():
-    assert np.allclose(matmul(SIGMA[1], SIGMA[1]), np.eye(2))
-
-
-@given(st.integers(0, 2**32 - 1))
-def test_matmul_matches_naive_triple_loop(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert np.allclose(matmul(a, b), naive_matmul(a, b), atol=1e-12)
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeError):
-        matmul(np.eye(2), np.eye(3))
 
 
 def test_rank_examples():
@@ -92,6 +62,27 @@ def test_is_hermitian_by_construction(seed):
 def test_is_hermitian_requires_square():
     with pytest.raises(ShapeError):
         is_hermitian(np.zeros((2, 3)))
+
+
+def test_check_unitary_returns_complex_matrix():
+    out = check_unitary(np.eye(2, dtype=int))
+    assert out.dtype == complex and np.array_equal(out, np.eye(2))
+    u = random_unitary(3, 4)
+    assert np.array_equal(check_unitary(u), u)
+
+
+def test_check_unitary_uses_eq_abs():
+    near = np.diag([1.0, 1.0 + 1e-8])
+    with pytest.raises(UnitarityError):
+        check_unitary(near)
+    assert np.array_equal(check_unitary(near, Tolerance(eq_abs=1e-6)), near)
+
+
+def test_check_unitary_rejects():
+    with pytest.raises(ShapeError):
+        check_unitary(np.zeros((2, 3)))
+    with pytest.raises(UnitarityError, match="AA"):
+        check_unitary(np.array([[1, 1], [0, 1]]))
 
 
 def test_validate_density_maximally_mixed():

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vnlift import (
-    BasisError,
     HermitianBasis,
     ShapeError,
     UnitarityError,
@@ -14,11 +13,9 @@ from vnlift import (
     from_unitary,
     gell_mann_basis,
     lift_matrix,
-    lift_matrix_nonorthonormal,
     numerical_rank,
     pauli_gell_mann_basis,
     random_unitary,
-    rotate_basis,
 )
 from tests.conftest import SIGMA
 
@@ -60,6 +57,11 @@ def test_hadamard_measurement_annihilates_sigma3():
     assert np.max(np.abs(apply(meas, SIGMA[3]))) <= 1e-12
 
 
+def test_apply_rejects_wrong_shape():
+    with pytest.raises(ShapeError):
+        apply(from_unitary(np.eye(2)), np.eye(3))
+
+
 @given(st.integers(0, 2**32 - 1))
 def test_apply_idempotent_and_trace_preserving(seed):
     rng = np.random.default_rng(seed)
@@ -95,23 +97,6 @@ def test_lift_rejects_dimension_mismatch():
         lift_matrix(from_unitary(np.eye(2)), gell_mann_basis(3))
 
 
-def test_lift_rejects_non_orthonormal_basis():
-    b = gell_mann_basis(2)
-    bad = HermitianBasis(dim=2, elements=(2 * b.elements[0],) + b.elements[1:], labels=b.labels)
-    with pytest.raises(BasisError):
-        lift_matrix(from_unitary(np.eye(2)), bad)
-
-
-def test_lift_uniform_scaling_invariance():
-    # A uniformly scaled basis leaves the lift unchanged (Gram-system path).
-    meas = from_unitary(random_unitary(3, 9))
-    b = gell_mann_basis(3)
-    reference = lift_matrix(meas, b).matrix
-    scaled = [np.sqrt(2.0) * el for el in b.elements]
-    general = lift_matrix_nonorthonormal(meas, scaled)
-    assert np.allclose(general, reference, atol=1e-10)
-
-
 def test_lift_basis_covariance():
     rng = np.random.default_rng(3)
     meas = from_unitary(random_unitary(3, 21))
@@ -119,7 +104,12 @@ def test_lift_basis_covariance():
     m_canonical = lift_matrix(meas, b).matrix
     v = rng.standard_normal(8)
     o = np.eye(8) - 2.0 * np.outer(v, v) / (v @ v)
-    m_rotated = lift_matrix(meas, rotate_basis(b, o)).matrix
+    rotated = HermitianBasis(
+        dim=3,
+        elements=tuple(np.einsum("iab,ij->jab", b.stack(), o)),
+        labels=tuple(f"rotated({j})" for j in range(8)),
+    )
+    m_rotated = lift_matrix(meas, rotated).matrix
     assert np.allclose(m_rotated, o.T @ m_canonical @ o, atol=1e-10)
 
 
