@@ -106,8 +106,6 @@ def _replace_first(b, element):
 
 def _invalid_elements(case):
     b = gell_mann_basis(2)
-    if case == "doubled":
-        return _replace_first(b, 2 * b.elements[0]), "orthonormal"
     if case == "mixed":
         # Unit norm, Hermitian and traceless, but not orthogonal to elements[1].
         return _replace_first(b, (b.elements[0] + b.elements[1]) / S2), "orthonormal"
@@ -120,12 +118,18 @@ def _invalid_elements(case):
 
 
 @pytest.mark.parametrize(
-    "case", ["doubled", "mixed", "non_hermitian", "non_traceless", "wrong_shape"]
+    "case", ["mixed", "non_hermitian", "non_traceless", "wrong_shape"]
 )
 def test_construction_rejects_invalid_element(case):
     elements, property_name = _invalid_elements(case)
     with pytest.raises(BasisError, match=property_name):
         HermitianBasis(dim=2, elements=elements, labels=gell_mann_basis(2).labels)
+
+
+def test_verify_rejects_doubled_element():
+    b = gell_mann_basis(2)
+    with pytest.raises(BasisError, match="orthonormal"):
+        HermitianBasis(dim=2, elements=_replace_first(b, 2 * b.elements[0]), labels=b.labels)
 
 
 def test_construction_rejects_wrong_counts():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vnlift import (
+    BasisError,
     HermitianBasis,
     ShapeError,
     UnitarityError,
@@ -95,6 +96,14 @@ def test_lift_random_unitary_m4():
 def test_lift_rejects_dimension_mismatch():
     with pytest.raises(ShapeError):
         lift_matrix(from_unitary(np.eye(2)), gell_mann_basis(3))
+
+
+def test_lift_rejects_non_orthonormal_basis():
+    # A non-orthonormal basis never reaches lift_matrix: construction rejects it.
+    b = gell_mann_basis(2)
+    with pytest.raises(BasisError):
+        bad = HermitianBasis(dim=2, elements=(2 * b.elements[0],) + b.elements[1:], labels=b.labels)
+        lift_matrix(from_unitary(np.eye(2)), bad)
 
 
 def test_lift_basis_covariance():
