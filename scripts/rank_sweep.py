@@ -35,6 +35,7 @@ def main():
 
     print(f"{'m':>3} {'samples':>8} {'max defect':>12} {'rank ok':>8} "
           f"{'C=C0 rank':>10} {'max consist':>12}")
+    all_ok = True
     for m in args.dims:
         basis = gell_mann_basis(m)
         defects, consist = [], []
@@ -51,7 +52,9 @@ def main():
             consist.append(consistency_check(meas, basis))
         print(f"{m:>3} {args.samples:>8} {max(defects):>12.3e} "
               f"{rank_ok:>5}/{args.samples} {c_ok:>7}/{args.samples} {max(consist):>12.3e}")
-    all_ok = rank_ok == c_ok == args.samples
+        # The same thresholds as `vnlift lift` and `vnlift selftest`.
+        all_ok &= (rank_ok == c_ok == args.samples
+                   and max(defects) <= 1e-9 and max(consist) <= 1e-10)
     return 0 if all_ok else 1
 
 

@@ -37,16 +37,33 @@ def matrix_to_pairs(a: np.ndarray) -> list:
 
 
 def pairs_to_matrix(pairs, rows: int, cols: int) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
+    try:
+        arr = np.asarray(pairs, dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"[re, im] pairs must hold numbers: {exc}") from None
     if arr.shape != (rows * cols, 2):
         raise ValueError(f"expected {rows * cols} [re, im] pairs, got shape {arr.shape}")
     return (arr[:, 0] + 1j * arr[:, 1]).reshape(rows, cols)
 
 
-def load_state(path: str, validate: bool = True, tol: Tolerance = DEFAULT_TOL):
+def _load_object(path: str) -> dict:
     with open(path) as fh:
         doc = json.load(fh)
-    m, n = int(doc["m"]), int(doc["n"])
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: top level must be a JSON object")
+    return doc
+
+
+def _dimension(doc: dict, key: str) -> int:
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key!r} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
+def load_state(path: str, validate: bool = True, tol: Tolerance = DEFAULT_TOL):
+    doc = _load_object(path)
+    m, n = _dimension(doc, "m"), _dimension(doc, "n")
     rho = pairs_to_matrix(doc["rho"], m * n, m * n)
     if validate:
         report = validate_density(rho, tol)
@@ -60,9 +77,8 @@ def load_state(path: str, validate: bool = True, tol: Tolerance = DEFAULT_TOL):
 
 
 def load_unitary(path: str, dim: int | None = None) -> np.ndarray:
-    with open(path) as fh:
-        doc = json.load(fh)
-    m = int(doc["m"]) if dim is None else dim
+    doc = _load_object(path)
+    m = _dimension(doc, "m") if dim is None else dim
     return pairs_to_matrix(doc["u"], m, m)
 
 

@@ -127,17 +127,19 @@ class InvarianceReport:
     reduced_spectrum_degenerate: bool
 
 
-def _measured_residuals(rho4: np.ndarray, units: np.ndarray, side: str) -> np.ndarray:
+def _measured_residuals(rho4: np.ndarray, units: np.ndarray) -> np.ndarray:
     """Frobenius residual || channel(rho) - rho || for a batch of measurement
-    unitaries (rows are measurement vectors) acting on one side."""
-    if side == "left":
-        d = np.einsum("zia,abcd,zic->zibd", units.conj(), rho4, units)
-        out = np.einsum("zia,zibd,zic->zabcd", units, d, units.conj())
-    else:
-        d = np.einsum("zjb,abcd,zjd->zjac", units.conj(), rho4, units)
-        out = np.einsum("zjb,zjac,zjd->zabcd", units, d, units.conj())
-    diff = out - rho4[None]
-    return np.sqrt(np.einsum("zabcd,zabcd->z", diff, diff.conj()).real)
+    unitaries (rows are measurement vectors) acting on the left factor.
+
+    The channel is the orthogonal projection onto the diagonal blocks
+    <phi_i| rho |phi_i>, so the residual is the norm of the off-diagonal
+    blocks of the rotated state. Nothing is subtracted, so a small residual
+    carries no cancellation error."""
+    rot = np.einsum("zia,abcd->zibcd", units.conj(), rho4)
+    rot = np.einsum("zibcd,zkc->zibkd", rot, units)
+    diag = np.arange(units.shape[1])
+    rot[:, diag, :, diag, :] = 0.0
+    return np.linalg.norm(rot.reshape(len(units), -1), axis=1)
 
 
 def invariance_search(
@@ -159,21 +161,16 @@ def invariance_search(
         raise ShapeError(f"state must be {m * n}x{m * n}, got {rho.shape}")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    d = m if side == "left" else n
-    reduced = partial_trace(rho, m, n, keep="a" if side == "left" else "b")
+    if side == "right":
+        rho, m, n = swap_subsystems(rho, m, n), n, m
+    reduced = partial_trace(rho, m, n, keep="a")
     evals, evecs = np.linalg.eigh((reduced + reduced.conj().T) / 2.0)
-    degenerate = bool(np.min(np.diff(np.sort(evals))) < _DEGENERACY_GAP)
-    # Row i of a measurement unitary is the coefficient vector of |phi_i>.
-    candidates = [evecs.T]
-    # Per-trial generators keyed by (seed, trial) so parallel and serial
-    # evaluation orders agree bit-for-bit.
-    gaussians = np.stack(
-        [_gaussian_complex(_rng(seed, 2, t), (d, d)) for t in range(trials)]
-    )
-    candidates.append(_unitary_from_gaussian(gaussians))
-    units = np.concatenate([candidates[0][None], candidates[1]])
-    rho4 = rho.reshape(m, n, m, n)
-    residuals = _measured_residuals(rho4, units, side)
+    degenerate = bool(np.min(np.diff(evals)) < _DEGENERACY_GAP)
+    # One draw laid out per trial, so trial t's candidate does not depend on
+    # `trials`. Row i of a measurement unitary is the coefficient vector of |phi_i>.
+    z = _rng(seed, 2).standard_normal((trials, 2, m, m))
+    units = np.concatenate([evecs.T[None], _unitary_from_gaussian(z[:, 0] + 1j * z[:, 1])])
+    residuals = _measured_residuals(rho.reshape(m, n, m, n), units)
     best = int(np.argmin(residuals))
     return InvarianceReport(
         best_residual=float(residuals[best]),

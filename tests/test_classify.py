@@ -71,11 +71,12 @@ def test_sampled_classical_states_never_ruled_out(m, n):
 
 def test_dakic_implication():
     # A state passing the one-sided screen always passes the baseline screen.
-    for seed in range(40):
-        rho = random_density(4, 5000 + seed)
-        bf = bloch(rho, 2, 2)
-        if not check_classical_quantum(bf).ruled_out:
-            assert not dakic_condition(bf).ruled_out
+    for m, n in ((2, 2), (2, 3), (3, 2), (4, 2), (3, 3)):
+        for seed in range(40):
+            rho = random_density(m * n, 5000 + seed)
+            bf = bloch(rho, m, n)
+            if not check_classical_quantum(bf).ruled_out:
+                assert not dakic_condition(bf).ruled_out, (m, n, seed)
     # The separation is witnessed by the benchmark state.
     bf = decompose(rho_zero(2.0), P2, P2)
     assert check_classical_quantum(bf).ruled_out

@@ -114,6 +114,30 @@ def test_lift_non_unitary_exits_2(tmp_path):
     assert status == 2
 
 
+MAXIMALLY_MIXED_PAIRS = matrix_to_pairs(np.eye(4) / 4.0)
+
+
+@pytest.mark.parametrize(
+    "command,doc,named",
+    [
+        ("classify", [1, 2], "JSON object"),
+        ("classify", {"m": None, "n": 2, "rho": MAXIMALLY_MIXED_PAIRS}, "'m'"),
+        ("classify", {"m": 2.5, "n": 2, "rho": MAXIMALLY_MIXED_PAIRS}, "'m'"),
+        ("classify", {"m": 2, "n": True, "rho": MAXIMALLY_MIXED_PAIRS}, "'n'"),
+        ("classify", {"m": 2, "n": 2, "rho": [{}] * 16}, "pairs"),
+        ("lift", [1, 2], "JSON object"),
+    ],
+    ids=["state_array", "m_null", "m_float", "n_bool", "rho_objects", "lift_array"],
+)
+def test_malformed_document_exits_2(tmp_path, capsys, command, doc, named):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    status, _ = run_cli(command, str(path))
+    assert status == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+
+
 def test_tight_tol_eq_does_not_reject_the_library_basis():
     # Basis validity is checked once at DEFAULT_TOL, independent of --tol-eq.
     status, _ = run_cli(

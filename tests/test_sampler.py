@@ -98,11 +98,30 @@ def test_invariance_search_determinism():
 
 
 def test_invariance_search_residual_matches_direct_channel():
-    rho = random_density(4, 41)
-    report = invariance_search(rho, 2, 2, side="left", trials=10, seed=1)
-    u = report.best_measurement.unitary
-    direct = np.linalg.norm(channel_on_left(rho, u, 2, 2) - rho)
-    assert abs(direct - report.best_residual) <= 1e-12
+    # For the right side the direct channel acts on the left factor of the
+    # swapped state.
+    for m, n in ((2, 2), (2, 3), (3, 2)):
+        rho = random_density(m * n, 41)
+        for side, state, a, b in (
+            ("left", rho, m, n),
+            ("right", swap_subsystems(rho, m, n), n, m),
+        ):
+            report = invariance_search(rho, m, n, side=side, trials=10, seed=1)
+            u = report.best_measurement.unitary
+            direct = np.linalg.norm(channel_on_left(state, u, a, b) - state)
+            assert abs(direct - report.best_residual) <= 1e-12, (side, m, n)
+
+
+def test_invariance_search_more_trials_never_worse():
+    # Trial t's candidate does not depend on the trial count, so a longer
+    # search only adds candidates.
+    rho = random_density(6, 43)
+    for side in ("left", "right"):
+        best = [
+            invariance_search(rho, 2, 3, side=side, trials=t, seed=9).best_residual
+            for t in (1, 10, 100, 1000)
+        ]
+        assert best == sorted(best, reverse=True), (side, best)
 
 
 def test_invariance_search_validates_arguments():
