@@ -22,6 +22,11 @@ class BlochForm:
     basis_b: HermitianBasis
 
 
+def _flat(basis: HermitianBasis) -> np.ndarray:
+    """Basis stack as a (k, m^2) matrix: row i is mu_i[c, a] at column c*m + a."""
+    return basis.stack().reshape(basis.dim**2 - 1, basis.dim**2)
+
+
 def decompose(
     rho,
     basis_a: HermitianBasis,
@@ -33,6 +38,11 @@ def decompose(
     The coefficients are r_i = m Tr(rho (mu_i (x) I)), s_j = n Tr(rho (I (x) nu_j)),
     t_ij = mn Tr(rho (mu_i (x) nu_j)); any imaginary residue above eq_abs is an
     error rather than silently truncated.
+
+    With the bases flattened to A (row i = mu_i) and B, and rho permuted to
+    X[(c, a), (d, b)] = rho[(a, b), (c, d)], these are matrix products:
+    T = mn A X B^T, R = m A x_I with x_I the sum of X's columns (d, d), and
+    S = n times the sum of the rows (c, c) of X B^T.
     """
     rho = as_matrix(rho)
     m, n = basis_a.dim, basis_b.dim
@@ -40,12 +50,12 @@ def decompose(
         raise ShapeError(f"state must be {m * n}x{m * n}, got {rho.shape}")
     if not is_hermitian(rho, tol):
         raise ValueError("state is not Hermitian within tolerance")
-    rho4 = rho.reshape(m, n, m, n)
-    mu = basis_a.stack()
-    nu = basis_b.stack()
-    r = m * np.einsum("abcb,ica->i", rho4, mu)
-    s = n * np.einsum("abad,jdb->j", rho4, nu)
-    t = m * n * np.einsum("abcd,ica,jdb->ij", rho4, mu, nu)
+    x = rho.reshape(m, n, m, n).transpose(2, 0, 3, 1).reshape(m * m, n * n)
+    a = _flat(basis_a)
+    xb = x @ _flat(basis_b).T
+    r = m * (a @ x[:, :: n + 1].sum(1))
+    s = n * xb[:: m + 1].sum(0)
+    t = m * n * (a @ xb)
     for name, arr in (("R", r), ("S", s), ("T", t)):
         residue = float(np.max(np.abs(arr.imag), initial=0.0))
         if residue > tol.eq_abs:
@@ -57,21 +67,20 @@ def reconstruct(bf: BlochForm) -> np.ndarray:
     """rho = (1/mn)(I(x)I + sum r_i mu_i(x)I + sum s_j I(x)nu_j + sum t_ij mu_i(x)nu_j).
 
     Always Hermitian with unit trace; positivity is not guaranteed.
+
+    The inverse of decompose on the same layout: with A' = [vec I; conj(A)]
+    and B' likewise, X = A'^T [[1, S^T], [R, T]] B' / mn, because the
+    orthonormal rows of A satisfy conj(A) A^T = I.
     """
     m, n = bf.m, bf.n
     if bf.R.shape != (m * m - 1,) or bf.S.shape != (n * n - 1,):
         raise ShapeError("local vector length inconsistent with dimensions")
     if bf.T.shape != (m * m - 1, n * n - 1):
         raise ShapeError("correlation matrix shape inconsistent with dimensions")
-    mu = bf.basis_a.stack()
-    nu = bf.basis_b.stack()
-    eye_a = np.eye(m, dtype=complex)
-    eye_b = np.eye(n, dtype=complex)
-    rho4 = np.einsum("ac,bd->abcd", eye_a, eye_b).astype(complex)
-    rho4 += np.einsum("i,iac,bd->abcd", bf.R.astype(complex), mu, eye_b)
-    rho4 += np.einsum("j,ac,jbd->abcd", bf.S.astype(complex), eye_a, nu)
-    rho4 += np.einsum("ij,iac,jbd->abcd", bf.T.astype(complex), mu, nu)
-    return rho4.reshape(m * n, m * n) / (m * n)
+    a = np.vstack((np.eye(m).ravel(), _flat(bf.basis_a).conj()))
+    b = np.vstack((np.eye(n).ravel(), _flat(bf.basis_b).conj()))
+    x = a.T @ correlation_matrix(bf) @ b / (m * n)
+    return x.reshape(m, m, n, n).transpose(1, 3, 0, 2).reshape(m * n, m * n)
 
 
 def correlation_matrix(bf: BlochForm) -> np.ndarray:

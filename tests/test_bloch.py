@@ -35,7 +35,26 @@ def test_bell_diagonal_components():
     assert np.allclose(bf.T, np.diag([2 * x for x in t]), atol=1e-12)
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize(
+    "m,n", [(2, 2), (2, 3), (3, 2), (4, 2), (6, 6), (8, 4), (8, 8)]
+)
+@pytest.mark.parametrize("make_basis", [gell_mann_basis, pauli_gell_mann_basis])
+def test_decompose_matches_trace_reference(m, n, make_basis):
+    # Each coefficient as its own trace against a Kronecker product,
+    # Tr(rho K) = sum(rho * K^T), independent of decompose's matrix layout.
+    rho = random_density(m * n, 4321 + 10 * m + n)
+    ba, bb = make_basis(m), make_basis(n)
+    eye_a, eye_b = np.eye(m), np.eye(n)
+    r = [m * np.sum(rho * np.kron(mu, eye_b).T) for mu in ba.elements]
+    s = [n * np.sum(rho * np.kron(eye_a, nu).T) for nu in bb.elements]
+    t = [[m * n * np.sum(rho * np.kron(mu, nu).T) for nu in bb.elements] for mu in ba.elements]
+    bf = decompose(rho, ba, bb)
+    assert np.max(np.abs(bf.R - np.array(r))) <= 1e-12
+    assert np.max(np.abs(bf.S - np.array(s))) <= 1e-12
+    assert np.max(np.abs(bf.T - np.array(t))) <= 1e-12
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (4, 2), (8, 4), (8, 8)])
 def test_round_trip_random_state(m, n):
     rho = random_density(m * n, 1234 + 10 * m + n)
     bf = decompose(rho, gell_mann_basis(m), gell_mann_basis(n))

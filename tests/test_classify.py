@@ -18,6 +18,7 @@ from vnlift import (
     random_density,
     random_quantum_classical,
     random_unitary,
+    validate_density,
 )
 from tests.conftest import bell_diagonal_state, rho_zero
 
@@ -69,14 +70,33 @@ def test_sampled_classical_states_never_ruled_out(m, n):
         assert not dakic_condition(bf).ruled_out
 
 
+def passes_one_sided_screen(m, n, t=0.1):
+    """(I + t sum_k mu_k (x) nu_k)/mn over the first min(m-1, 3) symmetric and
+    antisymmetric Gell-Mann elements on A: rank(R|T) = min(m-1, 3) <= m-1,
+    and for m >= 3 the mu_k do not commute, so the state is not
+    classical-quantum.  t = 0.1 keeps every eigenvalue positive."""
+    ba, bb = gell_mann_basis(m), gell_mann_basis(n)
+    labels = ("symmetric(0,1)", "antisymmetric(0,1)", "symmetric(0,2)")[: m - 1]
+    mus = [ba.elements[ba.labels.index(lab)] for lab in labels]
+    out = np.eye(m * n, dtype=complex)
+    for mu, nu in zip(mus, bb.elements):
+        out += t * np.kron(mu, nu)
+    return out / (m * n)
+
+
 def test_dakic_implication():
     # A state passing the one-sided screen always passes the baseline screen.
-    for m, n in ((2, 2), (2, 3), (3, 2), (4, 2), (3, 3)):
-        for seed in range(40):
-            rho = random_density(m * n, 5000 + seed)
+    for m, n in ((2, 2), (2, 3), (3, 2), (4, 2), (3, 3), (4, 4)):
+        states = [random_density(m * n, 5000 + seed) for seed in range(40)]
+        states.append(passes_one_sided_screen(m, n))
+        assert validate_density(states[-1]).ok
+        checked = 0
+        for i, rho in enumerate(states):
             bf = bloch(rho, m, n)
             if not check_classical_quantum(bf).ruled_out:
-                assert not dakic_condition(bf).ruled_out, (m, n, seed)
+                assert not dakic_condition(bf).ruled_out, (m, n, i)
+                checked += 1
+        assert checked >= 1, (m, n)
     # The separation is witnessed by the benchmark state.
     bf = decompose(rho_zero(2.0), P2, P2)
     assert check_classical_quantum(bf).ruled_out
