@@ -153,6 +153,8 @@ def cmd_classify(args) -> int:
                 "best_residual": rep.best_residual,
                 "trials": rep.trials,
                 "reduced_spectrum_degenerate": rep.reduced_spectrum_degenerate,
+                "best_trial": rep.best_trial,
+                "eigenbasis_residual": rep.eigenbasis_residual,
             }
     if args.json:
         doc = {
@@ -176,9 +178,12 @@ def cmd_classify(args) -> int:
         print(_verdict_line("classical-classical", cc))
         print(_verdict_line("dakic baseline", dk))
         for side, rep in oracle.items():
+            winner = ("eigenbasis" if rep["best_trial"] is None
+                      else f"trial {rep['best_trial']}")
             print(
                 f"oracle {side:<5}: best residual {rep['best_residual']:.3e} "
-                f"over {rep['trials']} trials"
+                f"over {rep['trials']} trials (won by {winner}; "
+                f"eigenbasis residual {rep['eigenbasis_residual']:.3e})"
             )
         print(f"tolerances: rank_rel={tol.rank_rel:g} eq_abs={tol.eq_abs:g}")
     return 0

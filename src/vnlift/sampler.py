@@ -125,6 +125,17 @@ class InvarianceReport:
     best_measurement: VonNeumannMeasurement
     trials: int
     reduced_spectrum_degenerate: bool
+    # None when the reduced-state eigenbasis candidate won, else the 0-based trial.
+    best_trial: int | None
+    # The eigenbasis candidate's own residual: the one-sided
+    # measurement-induced disturbance (Luo, 2008).
+    eigenbasis_residual: float
+
+
+# Complex entries per temporary of `_measured_residuals` (256 kB). It bounds
+# the peak memory for any number of candidates; of 2**13 to 2**16 it was the
+# fastest at 4x4 and close to the fastest at 2x2 and 3x3 on 2 vCPUs.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 def _measured_residuals(rho4: np.ndarray, units: np.ndarray) -> np.ndarray:
@@ -133,13 +144,24 @@ def _measured_residuals(rho4: np.ndarray, units: np.ndarray) -> np.ndarray:
 
     The channel is the orthogonal projection onto the diagonal blocks
     <phi_i| rho |phi_i>, so the residual is the norm of the off-diagonal
-    blocks of the rotated state. Nothing is subtracted, so a small residual
-    carries no cancellation error."""
-    rot = np.einsum("zia,abcd->zibcd", units.conj(), rho4)
-    rot = np.einsum("zibcd,zkc->zibkd", rot, units)
-    diag = np.arange(units.shape[1])
-    rot[:, diag, :, diag, :] = 0.0
-    return np.linalg.norm(rot.reshape(len(units), -1), axis=1)
+    blocks B_ik[b, d] = sum_ac conj(u_ia) u_kc rho[(a, b), (c, d)] of the
+    rotated state. Since B_ki = B_ik^dag, only the pairs i < k are formed,
+    as one product of their Kronecker rows with rho, and the norm is doubled.
+    Nothing is subtracted, so a small residual carries no cancellation error."""
+    count, m = units.shape[:2]
+    n = rho4.shape[1]
+    i, k = np.triu_indices(m, 1)
+    p = rho4.transpose(0, 2, 1, 3).reshape(m * m, n * n)
+    block = max(1, _BLOCK_ELEMENTS // (len(i) * max(m, n) ** 2))
+    out = np.empty(count)
+    for start in range(0, count, block):
+        u = units[start:start + block]
+        # C order, so that the reshape to one row per (candidate, pair) is a view.
+        kron = np.multiply(u[:, i, :, None].conj(), u[:, k, None, :], order="C")
+        kron = kron.reshape(-1, m * m)
+        off = (kron @ p).view(np.float64).reshape(len(u), -1)
+        out[start:start + block] = np.einsum("zj,zj->z", off, off)
+    return np.sqrt(2.0 * out)
 
 
 def invariance_search(
@@ -157,6 +179,8 @@ def invariance_search(
     rho = as_matrix(rho)
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if m < 2 or n < 2:
+        raise ValueError("both local dimensions must be at least 2")
     if rho.shape != (m * n, m * n):
         raise ShapeError(f"state must be {m * n}x{m * n}, got {rho.shape}")
     if trials < 1:
@@ -177,4 +201,6 @@ def invariance_search(
         best_measurement=from_unitary(units[best], Tolerance(tol.rank_rel, 1e-8)),
         trials=trials,
         reduced_spectrum_degenerate=degenerate,
+        best_trial=best - 1 if best else None,
+        eigenbasis_residual=float(residuals[0]),
     )

@@ -65,8 +65,19 @@ def test_classify_with_oracle():
     )
     assert status == 0
     doc = json.loads(out)
-    assert doc["oracle"]["left"]["best_residual"] > 0.01
-    assert doc["oracle"]["left"]["trials"] == 50
+    for side in ("left", "right"):
+        rep = doc["oracle"][side]
+        assert rep["best_residual"] > 0.01
+        assert rep["trials"] == 50
+        assert rep["best_trial"] is None or 0 <= rep["best_trial"] < 50
+        assert rep["eigenbasis_residual"] >= rep["best_residual"]
+        if rep["best_trial"] is None:
+            assert rep["eigenbasis_residual"] == rep["best_residual"]
+    status, out = run_cli(
+        "classify", os.path.join(FIXDIR, "bell_t_0.5_0.3_0.json"), "--oracle", "50",
+    )
+    assert status == 0
+    assert "won by" in out and "eigenbasis residual" in out
 
 
 def test_golden_reports_round_trip():

@@ -8,6 +8,7 @@ from vnlift import (
     random_classical_classical,
     random_classical_quantum,
     random_density,
+    random_quantum_classical,
     random_unitary,
     swap_subsystems,
     validate_density,
@@ -100,7 +101,7 @@ def test_invariance_search_determinism():
 def test_invariance_search_residual_matches_direct_channel():
     # For the right side the direct channel acts on the left factor of the
     # swapped state.
-    for m, n in ((2, 2), (2, 3), (3, 2)):
+    for m, n in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (2, 4), (4, 4)):
         rho = random_density(m * n, 41)
         for side, state, a, b in (
             ("left", rho, m, n),
@@ -114,14 +115,48 @@ def test_invariance_search_residual_matches_direct_channel():
 
 def test_invariance_search_more_trials_never_worse():
     # Trial t's candidate does not depend on the trial count, so a longer
-    # search only adds candidates.
-    rho = random_density(6, 43)
-    for side in ("left", "right"):
-        best = [
-            invariance_search(rho, 2, 3, side=side, trials=t, seed=9).best_residual
-            for t in (1, 10, 100, 1000)
-        ]
-        assert best == sorted(best, reverse=True), (side, best)
+    # search only adds candidates. At 4x4 the residuals are computed in
+    # blocks of fewer than 200 candidates, so 1000 and 5000 trials span several.
+    for (m, n), counts in (((2, 3), (1, 10, 100, 1000)), ((4, 4), (10, 1000, 5000))):
+        rho = random_density(m * n, 43)
+        for side in ("left", "right"):
+            best = [
+                invariance_search(rho, m, n, side=side, trials=t, seed=9).best_residual
+                for t in counts
+            ]
+            assert best == sorted(best, reverse=True), (m, n, side, best)
+
+
+def test_invariance_search_reports_winning_candidate():
+    rho = random_classical_quantum(3, 3, 21)
+    report = invariance_search(rho, 3, 3, side="left", trials=20, seed=2)
+    assert report.best_trial is None
+    assert report.eigenbasis_residual == report.best_residual
+    rho = bell_diagonal_state(0.5, 0.3, 0.0)
+    report = invariance_search(rho, 2, 2, side="left", trials=50, seed=0)
+    assert report.best_trial is not None and 0 <= report.best_trial < 50
+    assert report.best_residual < report.eigenbasis_residual
+    # Trial t is the (t + 1)-th candidate drawn, so a search cut just after
+    # it finds the same winner.
+    shorter = invariance_search(rho, 2, 2, side="left", trials=report.best_trial + 1, seed=0)
+    assert shorter.best_trial == report.best_trial
+    assert shorter.best_residual == report.best_residual
+
+
+def test_invariance_search_classical_sides_at_round_off():
+    # A formulation that subtracts (||rho||^2 minus the diagonal blocks) lands
+    # near 1e-8 here; the off-diagonal norm stays at round-off.
+    for m, n in ((3, 3), (4, 4)):
+        for k in range(5):
+            for kind, rho, sides in (
+                ("cq", random_classical_quantum(m, n, 500 + k), ("left",)),
+                ("qc", random_quantum_classical(m, n, 600 + k), ("right",)),
+                ("cc", random_classical_classical(m, n, 700 + k), ("left", "right")),
+            ):
+                for side in sides:
+                    report = invariance_search(rho, m, n, side=side, trials=10, seed=k)
+                    assert report.best_residual <= 1e-10, (kind, m, n, k, side)
+                    assert report.eigenbasis_residual <= 1e-10, (kind, m, n, k, side)
 
 
 def test_invariance_search_validates_arguments():
@@ -130,3 +165,7 @@ def test_invariance_search_validates_arguments():
         invariance_search(rho, 2, 2, side="up")
     with pytest.raises(ValueError):
         invariance_search(rho, 2, 2, trials=0)
+    # A one-dimensional measured or unmeasured side is rejected up front.
+    for m, n, side in ((1, 4, "left"), (4, 1, "right"), (4, 1, "left")):
+        with pytest.raises(ValueError, match="both local dimensions must be at least 2"):
+            invariance_search(rho, m, n, side=side)
