@@ -159,7 +159,7 @@ def test_criterion_6_bell_diagonal_suite():
 
 def test_criterion_7_soundness_corpus():
     start = time.perf_counter()
-    for m, n in ((2, 2), (2, 3), (3, 3), (3, 2), (4, 3)):
+    for m, n in ((2, 2), (2, 3), (3, 3), (3, 2), (4, 3), (6, 6), (8, 4), (8, 8)):
         ba, bb = gell_mann_basis(m), gell_mann_basis(n)
         for k in range(500):
             bf = decompose(random_classical_quantum(m, n, 70_000 + k), ba, bb)

@@ -54,7 +54,9 @@ def test_maximally_mixed_is_inconclusive_everywhere():
     assert not dakic_condition(bf).ruled_out
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (3, 2), (4, 2), (4, 3)])
+@pytest.mark.parametrize(
+    "m,n", [(2, 2), (2, 3), (3, 3), (3, 2), (4, 2), (4, 3), (6, 6), (8, 4), (8, 8)]
+)
 def test_sampled_classical_states_never_ruled_out(m, n):
     for seed in range(30):
         bf = bloch(random_classical_quantum(m, n, seed), m, n)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from vnlift import (
+    ShapeError,
     from_unitary,
     invariance_search,
     partial_trace,
@@ -13,6 +14,7 @@ from vnlift import (
     swap_subsystems,
     validate_density,
 )
+from vnlift.sampler import _DEGENERACY_GAP
 from tests.conftest import bell_diagonal_state
 
 
@@ -43,7 +45,7 @@ def test_random_density_properties():
     assert np.array_equal(rho, random_density(4, 17))
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 3), (8, 8), (8, 4)])
 def test_classical_quantum_construction(m, n):
     rho = random_classical_quantum(m, n, 5)
     assert validate_density(rho).ok
@@ -55,13 +57,49 @@ def test_classical_quantum_construction(m, n):
 
 
 def test_classical_classical_construction():
-    rho = random_classical_classical(2, 3, 8)
-    assert validate_density(rho).ok
-    swapped = swap_subsystems(rho, 2, 3)
-    reduced_b = partial_trace(rho, 2, 3, keep="b")
-    _, evecs = np.linalg.eigh(reduced_b)
-    residual = np.linalg.norm(channel_on_left(swapped, evecs.T, 3, 2) - swapped)
-    assert residual <= 1e-12
+    for m, n in ((2, 3), (8, 8), (8, 4)):
+        rho = random_classical_classical(m, n, 8)
+        assert validate_density(rho).ok
+        _, evecs = np.linalg.eigh(partial_trace(rho, m, n, keep="a"))
+        residual = np.linalg.norm(channel_on_left(rho, evecs.T, m, n) - rho)
+        assert residual <= 1e-12, (m, n)
+        swapped = swap_subsystems(rho, m, n)
+        _, evecs = np.linalg.eigh(partial_trace(rho, m, n, keep="b"))
+        residual = np.linalg.norm(channel_on_left(swapped, evecs.T, n, m) - swapped)
+        assert residual <= 1e-12, (m, n)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (4, 3), (6, 6), (8, 4), (8, 8), (12, 3)])
+def test_classical_samplers_always_succeed_with_gapped_marginals(m, n):
+    # Each classical side's marginal spectrum is gapped by construction, so its
+    # eigenbasis, the generating measurement, is well defined at every shape.
+    for seed in range(50):
+        for rho, sides in (
+            (random_classical_quantum(m, n, seed), ("a",)),
+            (random_quantum_classical(m, n, seed), ("b",)),
+            (random_classical_classical(m, n, seed), ("a", "b")),
+        ):
+            assert validate_density(rho).ok, (m, n, seed)
+            for keep in sides:
+                k = m if keep == "a" else n
+                gap = np.min(np.diff(np.linalg.eigvalsh(partial_trace(rho, m, n, keep=keep))))
+                assert gap > _DEGENERACY_GAP, (m, n, seed, keep)
+                assert k > 8 or gap >= 0.01, (m, n, seed, keep)
+
+
+def test_classical_samplers_are_deterministic():
+    samplers = (random_classical_quantum, random_quantum_classical, random_classical_classical)
+    for sampler in samplers:
+        for m, n in ((2, 2), (8, 4)):
+            assert np.array_equal(sampler(m, n, 3), sampler(m, n, 3))
+            assert not np.allclose(sampler(m, n, 3), sampler(m, n, 4))
+
+
+def test_partial_trace_rejects_wrong_shape():
+    # A 2x8 array has the right number of entries for a 2x2 (x) 2x2 state.
+    for keep in ("a", "b"):
+        with pytest.raises(ShapeError, match="state must be 4x4"):
+            partial_trace(np.ones((2, 8)), 2, 2, keep=keep)
 
 
 def test_swap_subsystems_involution():
