@@ -91,20 +91,19 @@ def random_quantum_classical(m: int, n: int, seed: int) -> np.ndarray:
 def random_classical_classical(m: int, n: int, seed: int) -> np.ndarray:
     """sum_ij p_ij |phi_i><phi_i| (x) |psi_j><psi_j| with both marginals gapped.
 
-    p = pa pb^T + t x y^T for zero-sum x and y keeps the marginals pa and pb;
-    t is a random fraction of the largest value that keeps p non-negative,
-    so p is a product table only with probability zero."""
+    p = pa pb^T * (1 + t g) for a Gaussian g centred so that pa^T g = 0 and
+    g pb = 0 keeps the marginals pa and pb; t is a random fraction of
+    1 / -min(g), so p is non-negative, and p generically has rank min(m, n)."""
     if m < 2 or n < 2:
         raise ValueError("both local dimensions must be at least 2")
     rng = _rng(seed, 1)
     ua = _unitary_from_gaussian(_gaussian_complex(rng, (m, m)))
     ub = _unitary_from_gaussian(_gaussian_complex(rng, (n, n)))
     pa, pb = _gapped_simplex(rng, m), _gapped_simplex(rng, n)
-    x, y = rng.standard_normal(m), rng.standard_normal(n)
-    coupling = np.outer(x - x.mean(), y - y.mean())
-    product = np.outer(pa, pb)
-    neg = coupling < 0
-    p = product + rng.uniform() * np.min(product[neg] / -coupling[neg]) * coupling
+    g = rng.standard_normal((m, n))
+    g -= pa @ g
+    g -= (g @ pb)[:, None]
+    p = np.outer(pa, pb) * (1.0 + rng.uniform() * g / -g.min())
     rho = np.einsum("ij,ia,ic,jb,jd->abcd", p, ua, ua.conj(), ub, ub.conj())
     return rho.reshape(m * n, m * n)
 

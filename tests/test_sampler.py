@@ -3,7 +3,10 @@ import pytest
 
 from vnlift import (
     ShapeError,
+    check_classical_classical,
+    decompose,
     from_unitary,
+    gell_mann_basis,
     invariance_search,
     partial_trace,
     random_classical_classical,
@@ -85,6 +88,17 @@ def test_classical_samplers_always_succeed_with_gapped_marginals(m, n):
                 gap = np.min(np.diff(np.linalg.eigvalsh(partial_trace(rho, m, n, keep=keep))))
                 assert gap > _DEGENERACY_GAP, (m, n, seed, keep)
                 assert k > 8 or gap >= 0.01, (m, n, seed, keep)
+
+
+@pytest.mark.parametrize("m,n", [(3, 3), (8, 4)])
+def test_classical_classical_correlation_rank_reaches_bound(m, n):
+    # The CC screen's bound is min(m, n); a sampled joint table of lower rank
+    # would let an off-by-one threshold pass the soundness checks unseen.
+    ba, bb = gell_mann_basis(m), gell_mann_basis(n)
+    for seed in range(50):
+        rho = random_classical_classical(m, n, seed)
+        verdict = check_classical_classical(decompose(rho, ba, bb))
+        assert verdict.computed_rank == min(m, n), (m, n, seed)
 
 
 def test_classical_samplers_are_deterministic():
