@@ -226,7 +226,7 @@ def cmd_selftest(args) -> int:
             lifted = lift_matrix(meas, b, tol)
             if lifted.idempotency_defect > 1e-9 or numerical_rank(lifted.matrix, tol) != m - 1:
                 ok_lift = False
-            if consistency_check(meas, b, tol) > 1e-10:
+            if consistency_check(meas, b) > 1e-10:
                 ok_consist = False
     record("lift idempotent, rank m-1 (50 random unitaries, m=2,3)", ok_lift)
     record("channel matches coefficient matrix C", ok_consist)

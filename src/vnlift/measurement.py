@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import HermitianBasis
+from .basis import HermitianBasis, gell_mann_basis
 from .linalg import DEFAULT_TOL, ShapeError, Tolerance, as_matrix, check_unitary, frobenius
 
 
@@ -48,90 +48,76 @@ def from_unitary(a, tol: Tolerance = DEFAULT_TOL) -> VonNeumannMeasurement:
     return VonNeumannMeasurement(dim=a.shape[0], unitary=a)
 
 
+def _coefficients(u: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """D[s, i] = <phi_s|mu_i|phi_s>, where phi_s is row s of u; real up to
+    round-off when the elements are Hermitian."""
+    return np.einsum("sa,iab,sb->si", u.conj(), elements, u)
+
+
 def apply(meas: VonNeumannMeasurement, x) -> np.ndarray:
-    """sum_i <phi_i|x|phi_i> |phi_i><phi_i|."""
+    """sum_s <phi_s|x|phi_s> |phi_s><phi_s|."""
     x = as_matrix(x)
     m = meas.dim
     if x.shape != (m, m):
         raise ShapeError(f"operator must be {m}x{m}, got {x.shape}")
-    return _applied_stack(meas, x[np.newaxis])[0]
-
-
-def _applied_stack(meas: VonNeumannMeasurement, elements: np.ndarray) -> np.ndarray:
-    """Apply the measurement channel to a stack of operators at once."""
-    u = meas.unitary
-    diag = np.einsum("ia,nab,ib->ni", u.conj(), elements, u)
-    return np.einsum("ni,ia,ib->nab", diag, u, u.conj())
+    d = _coefficients(meas.unitary, x[np.newaxis])[:, 0]
+    return np.einsum("s,sab->ab", d, meas.projectors())
 
 
 def lift_matrix(
     meas: VonNeumannMeasurement, b: HermitianBasis, tol: Tolerance = DEFAULT_TOL
 ) -> LiftedMeasurement:
-    """Matrix M with M[j, i] = Tr(mu_j^dag . channel(mu_i)).
+    """Matrix M with M[j, i] = Tr(mu_j^dag . channel(mu_i)) = (D^T D)[j, i],
+    where D = _coefficients(unitary, basis).
 
     Valid because every HermitianBasis is Hilbert-Schmidt orthonormal, which
-    its construction checks; the entries of a lift of Hermitian elements are
-    real up to round-off.
+    its construction checks; D of Hermitian elements is real up to round-off.
     """
     if b.dim != meas.dim:
         raise ShapeError(f"basis dim {b.dim} != measurement dim {meas.dim}")
-    stack = b.stack()
-    applied = _applied_stack(meas, stack)
-    m_complex = np.einsum("jab,iab->ji", stack.conj(), applied)
-    imag = float(np.max(np.abs(m_complex.imag)))
+    d = _coefficients(meas.unitary, b.stack())
+    imag = float(np.max(np.abs(d.imag)))
     if imag > tol.eq_abs:
         raise ValueError(f"lifted matrix has imaginary residue {imag:.3e}")
-    return LiftedMeasurement(dim=meas.dim, matrix=m_complex.real, basis_labels=b.labels)
+    return LiftedMeasurement(dim=meas.dim, matrix=d.real.T @ d.real, basis_labels=b.labels)
+
+
+def _checked_unitary(a, tol: Tolerance) -> np.ndarray:
+    a = check_unitary(a, tol)
+    if a.shape[0] < 2:
+        raise ValueError(f"coefficient matrices need dimension >= 2, got {a.shape[0]}")
+    return a
 
 
 def build_C(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Real m x (m^2-1) coefficient matrix (C1, C2, C3) of a unitary A.
-
-    Column ordering matches the canonical basis: diagonal p=1..m-1, then
-    symmetric (k,l) with k<l lexicographic, then antisymmetric (k,l).
-    """
-    a = check_unitary(a, tol)
-    m = a.shape[0]
-    absq = np.abs(a) ** 2
-    cols = []
-    for p in range(1, m):
-        cols.append(absq[:, :p].sum(axis=1) - p * absq[:, p])
-        cols[-1] *= np.sqrt(1.0 / (p * (p + 1)))
-    pairs = [(k, l) for k in range(m) for l in range(k + 1, m)]
-    for k, l in pairs:
-        z = a[:, k].conj() * a[:, l]
-        cols.append(np.sqrt(2.0) * z.real)
-    for k, l in pairs:
-        # i(a*_k a_l - a*_l a_k)/sqrt(2) evaluates to -sqrt(2) Im(a*_k a_l)
-        z = a[:, k].conj() * a[:, l]
-        cols.append(-np.sqrt(2.0) * z.imag)
-    return np.column_stack(cols)
+    """Real m x (m^2-1) coefficient matrix (C1, C2, C3) of a unitary A:
+    C[s, i] = <a_s|mu_i|a_s>, where a_s is row s of A and mu_i is element i of
+    gell_mann_basis(m), so the columns follow that basis's canonical ordering."""
+    a = _checked_unitary(a, tol)
+    return _coefficients(a, gell_mann_basis(a.shape[0]).stack()).real
 
 
 def build_C0(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Complex m x (m^2-1) matrix with the same rank as build_C(a):
-    columns alpha_i for i=1..m-1, then beta_kl for all ordered pairs k != l."""
-    a = check_unitary(a, tol)
-    m = a.shape[0]
+    columns alpha_i = |a_0|^2 - |a_i|^2 (i = 1..m-1), then beta_kl = a_k^* a_l
+    over the ordered pairs k != l in row-major order."""
+    a = _checked_unitary(a, tol)
     absq = np.abs(a) ** 2
-    cols = [absq[:, 0] - absq[:, i] for i in range(1, m)]
-    for k in range(m):
-        for l in range(m):
-            if k != l:
-                cols.append(a[:, k].conj() * a[:, l])
-    return np.column_stack(cols).astype(complex)
+    k, l = np.nonzero(~np.eye(a.shape[0], dtype=bool))
+    alpha = absq[:, :1] - absq[:, 1:]
+    beta = a[:, k].conj() * a[:, l]
+    return np.concatenate([alpha, beta], axis=1).astype(complex)
 
 
-def consistency_check(
-    meas: VonNeumannMeasurement, b: HermitianBasis, tol: Tolerance = DEFAULT_TOL
-) -> float:
-    """Max entrywise deviation between the channel applied to each canonical
-    basis element and the projector combination given by the matching column
-    of build_C."""
+def consistency_check(meas: VonNeumannMeasurement, b: HermitianBasis) -> float:
+    """Max entrywise deviation between the channel applied to each element of
+    b by its definition, sum_s P_s mu_i P_s, and the projector combination
+    sum_s D[s, i] P_s that the coefficient matrix D in b predicts."""
     if b.dim != meas.dim:
         raise ShapeError(f"basis dim {b.dim} != measurement dim {meas.dim}")
-    c = build_C(meas.unitary, tol)
     proj = meas.projectors()
-    applied = _applied_stack(meas, b.stack())
-    predicted = np.einsum("si,sab->iab", c, proj)
+    stack = b.stack()
+    sandwich = proj[:, np.newaxis]
+    applied = (sandwich @ stack @ sandwich).sum(axis=0)
+    predicted = np.einsum("si,sab->iab", _coefficients(meas.unitary, stack), proj)
     return float(np.max(np.abs(applied - predicted)))

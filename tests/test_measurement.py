@@ -23,6 +23,35 @@ from tests.conftest import SIGMA
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
+def closed_form_C(a):
+    """The paper's (C1, C2, C3): cumulative |a|^2 differences, then
+    sqrt(2) Re(a*_k a_l) and -sqrt(2) Im(a*_k a_l) over k < l lexicographic."""
+    m = a.shape[0]
+    absq = np.abs(a) ** 2
+    cols = []
+    for p in range(1, m):
+        cols.append((absq[:, :p].sum(axis=1) - p * absq[:, p]) * np.sqrt(1.0 / (p * (p + 1))))
+    pairs = [(k, l) for k in range(m) for l in range(k + 1, m)]
+    for k, l in pairs:
+        cols.append(np.sqrt(2.0) * (a[:, k].conj() * a[:, l]).real)
+    for k, l in pairs:
+        # i(a*_k a_l - a*_l a_k)/sqrt(2) evaluates to -sqrt(2) Im(a*_k a_l)
+        cols.append(-np.sqrt(2.0) * (a[:, k].conj() * a[:, l]).imag)
+    return np.column_stack(cols)
+
+
+def closed_form_C0(a):
+    """alpha_i = |a_0|^2 - |a_i|^2, then beta_kl = a*_k a_l over ordered k != l."""
+    m = a.shape[0]
+    absq = np.abs(a) ** 2
+    cols = [absq[:, 0] - absq[:, i] for i in range(1, m)]
+    for k in range(m):
+        for l in range(m):
+            if k != l:
+                cols.append(a[:, k].conj() * a[:, l])
+    return np.column_stack(cols).astype(complex)
+
+
 def test_from_unitary_computational_basis():
     meas = from_unitary(np.eye(2))
     proj = meas.projectors()
@@ -150,6 +179,24 @@ def test_C_and_C0_rank_and_row_sums(m):
         assert np.max(np.abs(c0.sum(axis=0))) <= 1e-12
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_coefficient_matrices_match_closed_form(m):
+    basis = gell_mann_basis(m)
+    for k in range(25):
+        u = random_unitary(m, 1000 * m + k)
+        c = build_C(u)
+        assert np.max(np.abs(c - closed_form_C(u))) <= 1e-12
+        assert np.array_equal(build_C0(u), closed_form_C0(u))
+        lifted = lift_matrix(from_unitary(u), basis).matrix
+        assert np.max(np.abs(lifted - c.T @ c)) <= 1e-12
+
+
+def test_coefficient_matrices_reject_dimension_one():
+    for build in (build_C, build_C0):
+        with pytest.raises(ValueError, match="dimension >= 2, got 1"):
+            build(np.eye(1))
+
+
 def test_build_C_rejects_non_unitary():
     with pytest.raises(UnitarityError):
         build_C(np.ones((2, 2)))
@@ -166,3 +213,11 @@ def test_consistency_check_fixed_bases():
 def test_consistency_check_random_m4():
     meas = from_unitary(random_unitary(4, 77))
     assert consistency_check(meas, gell_mann_basis(4)) <= 1e-10
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_consistency_check_any_orthonormal_basis(m):
+    basis = pauli_gell_mann_basis(m)
+    for k in range(10):
+        meas = from_unitary(random_unitary(m, 300 * m + k))
+        assert consistency_check(meas, basis) <= 1e-10
