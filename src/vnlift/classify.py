@@ -103,6 +103,11 @@ def classify_bell_diagonal(
     of the t_i is nonzero; it is separable exactly when (t1, t2, t3) lies in
     the octahedron |t1|+|t2|+|t3| <= 1.
     """
+    # A NaN fails every comparison, so the tetrahedron check below would pass it.
+    if not np.all(np.isfinite(spec.as_vector())):
+        raise InvalidStateError(
+            f"correlations must be finite, got ({spec.t1}, {spec.t2}, {spec.t3})"
+        )
     if np.min(spec.eigenvalues()) < -tol.eq_abs:
         raise InvalidStateError(
             "correlations lie outside the Bell-diagonal state tetrahedron"

@@ -46,11 +46,14 @@ def pairs_to_matrix(pairs, rows: int, cols: int) -> np.ndarray:
     return (arr[:, 0] + 1j * arr[:, 1]).reshape(rows, cols)
 
 
-def _load_object(path: str) -> dict:
+def _load_object(path: str, keys) -> dict:
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top level must be a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{path}: missing key {key!r}")
     return doc
 
 
@@ -62,7 +65,7 @@ def _dimension(doc: dict, key: str) -> int:
 
 
 def load_state(path: str, validate: bool = True, tol: Tolerance = DEFAULT_TOL):
-    doc = _load_object(path)
+    doc = _load_object(path, ("m", "n", "rho"))
     m, n = _dimension(doc, "m"), _dimension(doc, "n")
     rho = pairs_to_matrix(doc["rho"], m * n, m * n)
     if validate:
@@ -77,7 +80,7 @@ def load_state(path: str, validate: bool = True, tol: Tolerance = DEFAULT_TOL):
 
 
 def load_unitary(path: str, dim: int | None = None) -> np.ndarray:
-    doc = _load_object(path)
+    doc = _load_object(path, ("m", "u") if dim is None else ("u",))
     m = _dimension(doc, "m") if dim is None else dim
     return pairs_to_matrix(doc["u"], m, m)
 

@@ -28,6 +28,43 @@ def _unitary_from_gaussian(g: np.ndarray) -> np.ndarray:
     return q * phase[..., None, :]
 
 
+def _unitaries_by_gram_schmidt(z: np.ndarray) -> np.ndarray:
+    """`_unitary_from_gaussian(z[:, 0] + 1j * z[:, 1])` to round-off, for a
+    `(trials, 2, m, m)` draw, with no LAPACK call per matrix.
+
+    QR with the phase fix makes diag(R) real and positive, which is what
+    Gram-Schmidt on the columns gives; this is classical Gram-Schmidt with one
+    re-orthogonalisation pass, on length-`trials` arrays. Trial t's unitary
+    must not depend on `trials`, so every step is elementwise: each sum over
+    rows runs in a fixed order (an axis reduction changes its order with the
+    batch size), and products are in real arithmetic, since numpy's complex
+    multiply fuses multiply-adds on some loops and not on others."""
+    re = z[:, 0].transpose(2, 1, 0).copy()  # re[column, row, trial]
+    im = z[:, 1].transpose(2, 1, 0).copy()
+    m = re.shape[0]
+    for j in range(m):
+        vr, vi, qr, qi = re[j], im[j], re[:j], im[:j]
+        for _ in range(2 if j else 0):
+            # c_k = <q_k|v> for every earlier column k, then v -= sum_k c_k q_k.
+            cr = qr[:, 0] * vr[0] + qi[:, 0] * vi[0]
+            ci = qr[:, 0] * vi[0] - qi[:, 0] * vr[0]
+            for r in range(1, m):
+                cr += qr[:, r] * vr[r] + qi[:, r] * vi[r]
+                ci += qr[:, r] * vi[r] - qi[:, r] * vr[r]
+            for k in range(j):
+                vr -= qr[k] * cr[k] - qi[k] * ci[k]
+                vi -= qr[k] * ci[k] + qi[k] * cr[k]
+        norm = vr[0] * vr[0] + vi[0] * vi[0]
+        for r in range(1, m):
+            norm += vr[r] * vr[r] + vi[r] * vi[r]
+        norm = np.sqrt(norm)
+        vr /= norm
+        vi /= norm
+    u = np.empty(re.shape, dtype=complex)
+    u.real, u.imag = re, im
+    return u.transpose(2, 1, 0)
+
+
 def random_unitary(m: int, seed: int) -> np.ndarray:
     """Haar-ish unitary: QR of a complex Gaussian matrix with phase fix."""
     if m < 1:
@@ -188,7 +225,7 @@ def invariance_search(
     # One draw laid out per trial, so trial t's candidate does not depend on
     # `trials`. Row i of a measurement unitary is the coefficient vector of |phi_i>.
     z = _rng(seed, 2).standard_normal((trials, 2, m, m))
-    units = np.concatenate([evecs.T[None], _unitary_from_gaussian(z[:, 0] + 1j * z[:, 1])])
+    units = np.concatenate([evecs.T[None], _unitaries_by_gram_schmidt(z)])
     residuals = _measured_residuals(rho.reshape(m, n, m, n), units)
     best = int(np.argmin(residuals))
     return InvarianceReport(

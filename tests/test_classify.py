@@ -145,6 +145,12 @@ def test_bell_diagonal_rejects_outside_tetrahedron():
         classify_bell_diagonal(BellDiagonalSpec(1.0, 1.0, 1.0))
 
 
+def test_bell_diagonal_rejects_non_finite_correlations():
+    for t in ((np.nan, 0, 0), (0, np.nan, 0.5), (0, 0, np.inf), (-np.inf, 0, 0)):
+        with pytest.raises(InvalidStateError, match="finite"):
+            classify_bell_diagonal(BellDiagonalSpec(*t))
+
+
 def test_bell_diagonal_consistent_with_rank_checks():
     grid = [
         (0, 0, 0), (0.5, 0, 0), (0, 0.7, 0), (0.5, 0.3, 0), (0.3, 0.3, 0.3),

@@ -102,6 +102,13 @@ def test_bell_subcommand_invalid_state_exits_2():
     assert status == 2
 
 
+@pytest.mark.parametrize("t", [("nan", "0", "0"), ("0", "0", "inf")])
+def test_bell_subcommand_non_finite_exits_2(capsys, t):
+    status, _ = run_cli("bell", *t)
+    assert status == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_classify_missing_file_exits_2():
     status, _ = run_cli("classify", "does_not_exist.json")
     assert status == 2
@@ -147,6 +154,23 @@ def test_malformed_document_exits_2(tmp_path, capsys, command, doc, named):
     assert status == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+
+
+@pytest.mark.parametrize(
+    "command,doc,missing",
+    [
+        ("classify", {"n": 2, "rho": MAXIMALLY_MIXED_PAIRS}, "m"),
+        ("classify", {"m": 2, "rho": MAXIMALLY_MIXED_PAIRS}, "n"),
+        ("classify", {"m": 2, "n": 2}, "rho"),
+        ("lift", {"m": 2}, "u"),
+    ],
+)
+def test_missing_key_is_named(tmp_path, capsys, command, doc, missing):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    status, _ = run_cli(command, str(path))
+    assert status == 2
+    assert capsys.readouterr().err == f"error: {path}: missing key {missing!r}\n"
 
 
 def test_tight_tol_eq_does_not_reject_the_library_basis():

@@ -17,7 +17,13 @@ from vnlift import (
     swap_subsystems,
     validate_density,
 )
-from vnlift.sampler import _DEGENERACY_GAP
+from vnlift import sampler
+from vnlift.sampler import (
+    _DEGENERACY_GAP,
+    _rng,
+    _unitaries_by_gram_schmidt,
+    _unitary_from_gaussian,
+)
 from tests.conftest import bell_diagonal_state
 
 
@@ -39,6 +45,39 @@ def test_random_unitary_m1_is_phase():
     z = random_unitary(1, 0)
     assert z.shape == (1, 1)
     assert abs(abs(z[0, 0]) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_gram_schmidt_unitaries_match_qr_and_ignore_batch_size(m):
+    z = _rng(m, 2).standard_normal((2000, 2, m, m))
+    u = _unitaries_by_gram_schmidt(z)
+    assert u.shape == (2000, m, m)
+    # QR with the phase fix is the reference.
+    assert np.abs(u - _unitary_from_gaussian(z[:, 0] + 1j * z[:, 1])).max() <= 1e-12
+    gram = u @ u.conj().transpose(0, 2, 1)
+    assert np.linalg.norm(gram - np.eye(m), axis=(1, 2)).max() <= 1e-13
+    # Candidate t is the same bits in a batch of 1, of t + 1 and of 2000.
+    for t in (0, 1, 2, 7, 8, 15, 16, 17, 100, 1999):
+        assert np.array_equal(_unitaries_by_gram_schmidt(z[t:t + 1])[0], u[t]), t
+        assert np.array_equal(_unitaries_by_gram_schmidt(z[:t + 1])[t], u[t]), t
+
+
+def test_invariance_search_trial_residual_ignores_trial_count(monkeypatch):
+    measured_residuals = sampler._measured_residuals
+    computed = []
+
+    def recording(rho4, units):
+        computed.append(measured_residuals(rho4, units))
+        return computed[-1]
+
+    monkeypatch.setattr(sampler, "_measured_residuals", recording)
+    rho = random_density(16, 47)
+    for side in ("left", "right"):
+        computed.clear()
+        invariance_search(rho, 4, 4, side=side, trials=1, seed=5)
+        invariance_search(rho, 4, 4, side=side, trials=2000, seed=5)
+        # The eigenbasis candidate and trial 0, bit for bit.
+        assert np.array_equal(computed[0], computed[1][:2]), side
 
 
 def test_random_density_properties():
