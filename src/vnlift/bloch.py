@@ -4,15 +4,23 @@ correlation matrix T, plus the block correlation matrix."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .basis import HermitianBasis
-from .linalg import DEFAULT_TOL, ShapeError, Tolerance, as_matrix, is_hermitian
+from .linalg import DEFAULT_TOL, ShapeError, Tolerance, _is_hermitian, as_matrix, singular_values
 
 
 @dataclass(frozen=True)
 class BlochForm:
+    """Local vectors R, S and correlations T of a state on an m (x) n system.
+
+    The block correlation matrix and its singular values are computed once,
+    on first use, and every screen reads them. They assume R, S and T are not
+    written to afterwards; ``decompose`` returns them read-only.
+    """
+
     m: int
     n: int
     R: np.ndarray
@@ -20,6 +28,30 @@ class BlochForm:
     T: np.ndarray
     basis_a: HermitianBasis
     basis_b: HermitianBasis
+
+    @cached_property
+    def correlation(self) -> np.ndarray:
+        """Read-only block matrix [[1, S^T], [R, T]] of shape m^2 x n^2."""
+        m, n = self.m, self.n
+        r, s, t = np.asarray(self.R), np.asarray(self.S), np.asarray(self.T)
+        if r.shape != (m * m - 1,) or s.shape != (n * n - 1,):
+            raise ShapeError("local vector length inconsistent with dimensions")
+        if t.shape != (m * m - 1, n * n - 1):
+            raise ShapeError("correlation matrix shape inconsistent with dimensions")
+        c = np.empty((m * m, n * n), dtype=np.result_type(1.0, r, s, t))
+        c[0, 0] = 1.0
+        c[0, 1:] = s
+        c[1:, 0] = r
+        c[1:, 1:] = t
+        c.flags.writeable = False
+        return c
+
+    @cached_property
+    def correlation_spectrum(self) -> np.ndarray:
+        """Read-only singular values of ``correlation``, largest first."""
+        s = singular_values(self.correlation)
+        s.flags.writeable = False
+        return s
 
 
 def _flat(basis: HermitianBasis) -> np.ndarray:
@@ -48,7 +80,7 @@ def decompose(
     m, n = basis_a.dim, basis_b.dim
     if rho.shape != (m * n, m * n):
         raise ShapeError(f"state must be {m * n}x{m * n}, got {rho.shape}")
-    if not is_hermitian(rho, tol):
+    if not _is_hermitian(rho, tol):
         raise ValueError("state is not Hermitian within tolerance")
     x = rho.reshape(m, n, m, n).transpose(2, 0, 3, 1).reshape(m * m, n * n)
     a = _flat(basis_a)
@@ -60,7 +92,10 @@ def decompose(
         residue = float(np.max(np.abs(arr.imag), initial=0.0))
         if residue > tol.eq_abs:
             raise ValueError(f"{name} has imaginary residue {residue:.3e}")
-    return BlochForm(m=m, n=n, R=r.real, S=s.real, T=t.real, basis_a=basis_a, basis_b=basis_b)
+    r, s, t = r.real, s.real, t.real
+    for arr in (r, s, t):
+        arr.flags.writeable = False
+    return BlochForm(m=m, n=n, R=r, S=s, T=t, basis_a=basis_a, basis_b=basis_b)
 
 
 def reconstruct(bf: BlochForm) -> np.ndarray:
@@ -73,10 +108,6 @@ def reconstruct(bf: BlochForm) -> np.ndarray:
     orthonormal rows of A satisfy conj(A) A^T = I.
     """
     m, n = bf.m, bf.n
-    if bf.R.shape != (m * m - 1,) or bf.S.shape != (n * n - 1,):
-        raise ShapeError("local vector length inconsistent with dimensions")
-    if bf.T.shape != (m * m - 1, n * n - 1):
-        raise ShapeError("correlation matrix shape inconsistent with dimensions")
     a = np.vstack((np.eye(m).ravel(), _flat(bf.basis_a).conj()))
     b = np.vstack((np.eye(n).ravel(), _flat(bf.basis_b).conj()))
     x = a.T @ correlation_matrix(bf) @ b / (m * n)
@@ -84,7 +115,6 @@ def reconstruct(bf: BlochForm) -> np.ndarray:
 
 
 def correlation_matrix(bf: BlochForm) -> np.ndarray:
-    """Block matrix [[1, S^T], [R, T]] of shape m^2 x n^2."""
-    top = np.concatenate(([1.0], bf.S))
-    bottom = np.column_stack((bf.R, bf.T))
-    return np.vstack((top, bottom))
+    """Block matrix [[1, S^T], [R, T]] of shape m^2 x n^2, read-only and
+    built once per BlochForm."""
+    return bf.correlation

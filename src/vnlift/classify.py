@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochForm, correlation_matrix
-from .linalg import DEFAULT_TOL, InvalidStateError, Tolerance, numerical_rank
+from .linalg import DEFAULT_TOL, InvalidStateError, Tolerance, numerical_rank, rank_of_spectrum
 
 CLASSICAL_QUANTUM = "classical_quantum"
 QUANTUM_CLASSICAL = "quantum_classical"
@@ -27,8 +27,7 @@ class Verdict:
     evidence: np.ndarray
 
 
-def _verdict(target_class: str, evidence: np.ndarray, threshold: int, tol: Tolerance) -> Verdict:
-    rank = numerical_rank(evidence, tol)
+def _verdict(target_class: str, evidence: np.ndarray, threshold: int, rank: int) -> Verdict:
     return Verdict(
         target_class=target_class,
         ruled_out=rank > threshold,
@@ -38,29 +37,34 @@ def _verdict(target_class: str, evidence: np.ndarray, threshold: int, tol: Toler
     )
 
 
+# Every evidence matrix is a block of C = correlation_matrix(bf) = [[1, S^T], [R, T]]:
+# the one-sided screens read views of it, and the two screens on C itself
+# share its cached singular values.
+
+
 def check_classical_quantum(bf: BlochForm, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Classical-quantum states have rank(R|T) at most m-1."""
-    evidence = np.column_stack((bf.R, bf.T))
-    return _verdict(CLASSICAL_QUANTUM, evidence, bf.m - 1, tol)
+    evidence = correlation_matrix(bf)[1:, :]
+    return _verdict(CLASSICAL_QUANTUM, evidence, bf.m - 1, numerical_rank(evidence, tol))
 
 
 def check_quantum_classical(bf: BlochForm, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Quantum-classical states have rank(S|T^T) at most n-1."""
-    evidence = np.column_stack((bf.S, bf.T.T))
-    return _verdict(QUANTUM_CLASSICAL, evidence, bf.n - 1, tol)
+    evidence = correlation_matrix(bf)[:, 1:].T
+    return _verdict(QUANTUM_CLASSICAL, evidence, bf.n - 1, numerical_rank(evidence, tol))
 
 
 def check_classical_classical(bf: BlochForm, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Classical-classical states have rank [[1, S^T], [R, T]] at most min(m, n)."""
-    evidence = correlation_matrix(bf)
-    return _verdict(CLASSICAL_CLASSICAL, evidence, min(bf.m, bf.n), tol)
+    rank = rank_of_spectrum(bf.correlation_spectrum, tol)
+    return _verdict(CLASSICAL_CLASSICAL, correlation_matrix(bf), min(bf.m, bf.n), rank)
 
 
 def dakic_condition(bf: BlochForm, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Baseline screen: classical-quantum states have block correlation
     matrix rank at most m.  Strictly weaker than check_classical_quantum."""
-    evidence = correlation_matrix(bf)
-    return _verdict(CLASSICAL_QUANTUM, evidence, bf.m, tol)
+    rank = rank_of_spectrum(bf.correlation_spectrum, tol)
+    return _verdict(CLASSICAL_QUANTUM, correlation_matrix(bf), bf.m, rank)
 
 
 @dataclass(frozen=True)

@@ -61,26 +61,41 @@ def frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
-def numerical_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Count singular values above rank_rel times the largest one.
-
-    A matrix whose largest singular value is below eq_abs counts as zero.
-    """
+def singular_values(a) -> np.ndarray:
+    """Singular values, largest first, of a finite, non-empty 2-D matrix."""
     a = np.asarray(a)
     # Real input keeps the float SVD, about 1.5x faster than the complex one.
     a = _finite_matrix(a.astype(complex if np.iscomplexobj(a) else float, copy=False))
     if a.size == 0:
         raise ShapeError("rank of an empty matrix is undefined")
-    s = np.linalg.svd(a, compute_uv=False)
+    return np.linalg.svd(a, compute_uv=False)
+
+
+def rank_of_spectrum(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
+    """Count the singular values ``s`` (largest first) above rank_rel times
+    the largest one; zero when the largest is at most eq_abs."""
     if s[0] <= tol.eq_abs:
         return 0
     return int(np.count_nonzero(s > tol.rank_rel * s[0]))
+
+
+def numerical_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
+    """Count singular values above rank_rel times the largest one.
+
+    A matrix whose largest singular value is below eq_abs counts as zero.
+    """
+    return rank_of_spectrum(singular_values(a), tol)
 
 
 def is_hermitian(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"Hermiticity needs a square matrix, got {a.shape}")
+    return _is_hermitian(a, tol)
+
+
+def _is_hermitian(a: np.ndarray, tol: Tolerance) -> bool:
+    """Hermiticity of a square matrix that ``as_matrix`` already returned."""
     return bool(np.max(np.abs(a - a.conj().T), initial=0.0) <= tol.eq_abs)
 
 
@@ -112,7 +127,7 @@ def validate_density(rho, tol: Tolerance = DEFAULT_TOL) -> DensityReport:
     rho = as_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise ShapeError(f"density matrix must be square, got {rho.shape}")
-    herm = is_hermitian(rho, tol)
+    herm = _is_hermitian(rho, tol)
     unit_trace = abs(np.trace(rho) - 1.0) <= tol.eq_abs
     # Symmetrize before the Hermitian eigensolver to suppress round-off asymmetry.
     sym = (rho + rho.conj().T) / 2.0

@@ -172,6 +172,11 @@ class InvarianceReport:
 # fastest at 4x4 and close to the fastest at 2x2 and 3x3 on 2 vCPUs.
 _BLOCK_ELEMENTS = 1 << 14
 
+# Random trials drawn, orthonormalised and scored together in one chunk of an
+# invariance search, so that its peak memory does not grow with `trials`. The
+# default 2000-trial search is one chunk.
+_CHUNK_TRIALS = 4096
+
 
 def _measured_residuals(rho4: np.ndarray, units: np.ndarray) -> np.ndarray:
     """Frobenius residual || channel(rho) - rho || for a batch of measurement
@@ -222,17 +227,35 @@ def invariance_search(
     reduced = partial_trace(rho, m, n, keep="a")
     evals, evecs = np.linalg.eigh((reduced + reduced.conj().T) / 2.0)
     degenerate = bool(np.min(np.diff(evals)) < _DEGENERACY_GAP)
-    # One draw laid out per trial, so trial t's candidate does not depend on
-    # `trials`. Row i of a measurement unitary is the coefficient vector of |phi_i>.
-    z = _rng(seed, 2).standard_normal((trials, 2, m, m))
-    units = np.concatenate([evecs.T[None], _unitaries_by_gram_schmidt(z)])
-    residuals = _measured_residuals(rho.reshape(m, n, m, n), units)
-    best = int(np.argmin(residuals))
+    # Candidate 0 is the eigenbasis and candidate t + 1 is trial t; row i of a
+    # measurement unitary is the coefficient vector of |phi_i>. Every chunk
+    # draws from one generator and every step is per trial, so trial t's
+    # candidate and residual do not depend on the chunking or on `trials`.
+    rng, rho4 = _rng(seed, 2), rho.reshape(m, n, m, n)
+    chunk = _CHUNK_TRIALS + 1
+    best, best_residual, best_unit = 0, np.inf, None
+    for first in range(0, trials + 1, chunk):
+        end = min(first + chunk, trials + 1)
+        z = rng.standard_normal((end - max(first, 1), 2, m, m))
+        units = _unitaries_by_gram_schmidt(z)
+        if first == 0:
+            units = np.concatenate([evecs.T[None], units])
+        residuals = _measured_residuals(rho4, units)
+        if first == 0:
+            eigenbasis_residual = float(residuals[0])
+        k = int(np.argmin(residuals))
+        # Strictly smaller, so a tie keeps the earliest candidate, as one argmin
+        # would. A view, so the report holds the winning chunk: with a copy,
+        # glibc trimmed and re-faulted the heap on every search (~15% slower).
+        if residuals[k] < best_residual:
+            best, best_residual, best_unit = first + k, float(residuals[k]), units[k]
+        # Released before the next chunk is drawn.
+        del z, units, residuals
     return InvarianceReport(
-        best_residual=float(residuals[best]),
-        best_measurement=from_unitary(units[best], Tolerance(eq_abs=1e-8)),
+        best_residual=best_residual,
+        best_measurement=from_unitary(best_unit, Tolerance(eq_abs=1e-8)),
         trials=trials,
         reduced_spectrum_degenerate=degenerate,
         best_trial=best - 1 if best else None,
-        eigenbasis_residual=float(residuals[0]),
+        eigenbasis_residual=eigenbasis_residual,
     )

@@ -9,9 +9,11 @@ from vnlift import (
     check_classical_quantum,
     check_quantum_classical,
     classify_bell_diagonal,
+    correlation_matrix,
     dakic_condition,
     decompose,
     gell_mann_basis,
+    numerical_rank,
     pauli_gell_mann_basis,
     random_classical_classical,
     random_classical_quantum,
@@ -182,6 +184,71 @@ def test_rho2_family(t, ruled_out):
     zero = np.zeros(m * m - 1)
     bf = BlochForm(m=m, n=m, R=zero, S=zero, T=np.diag(t), basis_a=b, basis_b=b)
     assert check_classical_quantum(bf).ruled_out == ruled_out
+
+
+SCREENS = (check_classical_quantum, check_quantum_classical, check_classical_classical,
+           dakic_condition)
+
+
+def corpus(m, n, seeds):
+    for seed in seeds:
+        yield random_classical_quantum(m, n, seed)
+        yield random_quantum_classical(m, n, seed)
+        yield random_classical_classical(m, n, seed)
+        yield random_density(m * n, seed)
+
+
+@pytest.mark.parametrize(
+    "m,n", [(2, 2), (3, 3), (4, 4), (6, 6), (8, 8), (3, 2), (4, 2), (8, 4)]
+)
+def test_screens_read_one_correlation_matrix(m, n, monkeypatch):
+    svd = np.linalg.svd
+    calls = []
+
+    def counted_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    for rho in corpus(m, n, range(3)):
+        bf = bloch(rho, m, n)
+        calls.clear()
+        cq, qc, cc, dk = (screen(bf) for screen in SCREENS)
+        # (R|T) and (S|T^T) are blocks of C, and the two screens on C share its spectrum.
+        assert len(calls) == 3
+        assert np.array_equal(cq.evidence, np.column_stack((bf.R, bf.T)))
+        assert np.array_equal(qc.evidence, np.column_stack((bf.S, bf.T.T)))
+        c = correlation_matrix(bf)
+        assert cc.evidence is c and dk.evidence is c
+        assert cc.computed_rank == dk.computed_rank == numerical_rank(c)
+        for arr in (c, bf.R, bf.S, bf.T, bf.correlation_spectrum):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+
+def test_hand_built_bloch_form_runs_every_screen():
+    # R = S = 0 and T = diag(0.3, 0.4, 0): C = diag(1, 0.3, 0.4, 0) has rank 3.
+    b = gell_mann_basis(2)
+    zero = np.zeros(3)
+    bf = BlochForm(m=2, n=2, R=zero, S=zero, T=np.diag([0.3, 0.4, 0.0]), basis_a=b, basis_b=b)
+    ranks = [screen(bf).computed_rank for screen in SCREENS]
+    assert ranks == [2, 2, 3, 3]
+    assert [screen(bf).ruled_out for screen in SCREENS] == [True, True, True, True]
+    assert np.array_equal(correlation_matrix(bf), np.diag([1.0, 0.3, 0.4, 0.0]))
+    bad = BlochForm(m=3, n=2, R=zero, S=zero, T=np.zeros((3, 3)), basis_a=b, basis_b=b)
+    with pytest.raises(ValueError, match="inconsistent with dimensions"):
+        check_classical_quantum(bad)
+
+
+@pytest.mark.parametrize(
+    "m,n", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (6, 6), (8, 4)]
+)
+def test_screen_ranks_do_not_depend_on_basis_ordering(m, n):
+    for rho in corpus(m, n, range(10)):
+        canonical = bloch(rho, m, n)
+        textbook = decompose(rho, pauli_gell_mann_basis(m), pauli_gell_mann_basis(n))
+        for screen in SCREENS:
+            assert screen(canonical).computed_rank == screen(textbook).computed_rank
 
 
 def test_rho_zero_just_below_validity_boundary():

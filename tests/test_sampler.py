@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -248,6 +250,41 @@ def test_invariance_search_classical_sides_at_round_off():
                     report = invariance_search(rho, m, n, side=side, trials=10, seed=k)
                     assert report.best_residual <= 1e-10, (kind, m, n, k, side)
                     assert report.eigenbasis_residual <= 1e-10, (kind, m, n, k, side)
+
+
+def test_invariance_search_chunking_keeps_every_result(monkeypatch):
+    # Small chunks, the default size and one chunk for all trials find the
+    # same winner with the same bits.
+    for m, n in ((4, 4), (3, 2)):
+        rho = random_density(m * n, 40 + m)
+        reports = []
+        for chunk in (777, sampler._CHUNK_TRIALS, 10**6):
+            monkeypatch.setattr(sampler, "_CHUNK_TRIALS", chunk)
+            reports.append(invariance_search(rho, m, n, trials=9000, seed=m))
+        for report in reports[1:]:
+            assert report.best_trial == reports[0].best_trial
+            assert report.best_residual == reports[0].best_residual
+            assert report.eigenbasis_residual == reports[0].eigenbasis_residual
+            assert np.array_equal(report.best_measurement.unitary,
+                                  reports[0].best_measurement.unitary)
+
+
+def test_invariance_search_memory_is_bounded_by_one_chunk():
+    rho = random_density(16, 3)
+    invariance_search(rho, 4, 4, trials=10)
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            invariance_search(rho, 4, 4, trials=trials)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # A 4096-trial search, one chunk, peaks near 3.4 MB at 4x4 and an unchunked
+    # 20 000-trial search near 16.5 MB. The margin covers the winning chunk's
+    # candidates (1.05 MB), which the report holds while later chunks are scored.
+    assert peak(20_000) < peak(4096) + 2 * 2**20
 
 
 def test_invariance_search_validates_arguments():
