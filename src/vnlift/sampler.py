@@ -3,6 +3,7 @@ measurement-invariance search used to cross-check rank verdicts."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +15,10 @@ _DEGENERACY_GAP = 1e-6
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *key]))
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(np.random.SeedSequence([seed, *key]))
 
 
 def _gaussian_complex(rng: np.random.Generator, shape) -> np.ndarray:
@@ -178,6 +182,19 @@ _BLOCK_ELEMENTS = 1 << 14
 _CHUNK_TRIALS = 4096
 
 
+@functools.lru_cache(maxsize=1)
+def _one_chunk_candidates(seed: int, m: int, trials: int) -> np.ndarray:
+    """The random candidates of a search that fits in one chunk, read-only.
+
+    They depend on (seed, m, trials) alone, so the left and right searches of
+    an m x m state with one seed share them. One set is kept, so the cache
+    holds at most one chunk. Trial t's candidate is the same bits as in a
+    chunked search, since every Gram-Schmidt step is per trial."""
+    units = _unitaries_by_gram_schmidt(_rng(seed, 2).standard_normal((trials, 2, m, m)))
+    units.flags.writeable = False
+    return units
+
+
 def _measured_residuals(rho4: np.ndarray, units: np.ndarray) -> np.ndarray:
     """Frobenius residual || channel(rho) - rho || for a batch of measurement
     unitaries (rows are measurement vectors) acting on the left factor.
@@ -231,13 +248,18 @@ def invariance_search(
     # measurement unitary is the coefficient vector of |phi_i>. Every chunk
     # draws from one generator and every step is per trial, so trial t's
     # candidate and residual do not depend on the chunking or on `trials`.
-    rng, rho4 = _rng(seed, 2), rho.reshape(m, n, m, n)
-    chunk = _CHUNK_TRIALS + 1
+    # A one-chunk search takes its candidates from the shared read-only set;
+    # the concatenate copies them, so the report never aliases that set.
+    rho4, chunk = rho.reshape(m, n, m, n), _CHUNK_TRIALS + 1
+    rng = None if trials < chunk else _rng(seed, 2)
     best, best_residual, best_unit = 0, np.inf, None
     for first in range(0, trials + 1, chunk):
         end = min(first + chunk, trials + 1)
-        z = rng.standard_normal((end - max(first, 1), 2, m, m))
-        units = _unitaries_by_gram_schmidt(z)
+        if rng is None:
+            units = _one_chunk_candidates(int(seed), m, trials)
+        else:
+            units = _unitaries_by_gram_schmidt(
+                rng.standard_normal((end - max(first, 1), 2, m, m)))
         if first == 0:
             units = np.concatenate([evecs.T[None], units])
         residuals = _measured_residuals(rho4, units)
@@ -250,7 +272,7 @@ def invariance_search(
         if residuals[k] < best_residual:
             best, best_residual, best_unit = first + k, float(residuals[k]), units[k]
         # Released before the next chunk is drawn.
-        del z, units, residuals
+        del units, residuals
     return InvarianceReport(
         best_residual=best_residual,
         best_measurement=from_unitary(best_unit, Tolerance(eq_abs=1e-8)),

@@ -7,7 +7,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from vnlift import basis, gell_mann_basis, pauli_gell_mann_basis
+from vnlift import basis, gell_mann_basis, pauli_gell_mann_basis, random_density, sampler
 from vnlift.cli import main, matrix_to_pairs, pairs_to_matrix
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -214,3 +214,29 @@ def test_selftest_fails_on_broken_basis(broken_basis, capsys):
     assert status != 0
     assert "checks passed" not in out or "FAIL" in out
     assert "orthonormal" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", os.path.join(FIXDIR, "rho0_x_2.json"), "--oracle", "5", "--seed", "-1"),
+        ("selftest", "--seed", "-1"),
+    ],
+    ids=["classify_oracle", "selftest"],
+)
+def test_negative_seed_exits_2(capsys, argv):
+    status, _ = run_cli(*argv)
+    assert status == 2
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+
+
+def test_oracle_report_is_the_same_from_a_warm_candidate_set(tmp_path):
+    path = tmp_path / "state3x3.json"
+    path.write_text(json.dumps({"m": 3, "n": 3, "rho": matrix_to_pairs(random_density(9, 63))}))
+    sampler._one_chunk_candidates.cache_clear()
+    _, cold = run_cli("classify", str(path), "--oracle", "2000", "--json")
+    assert sampler._one_chunk_candidates.cache_info().hits == 1
+    _, warm = run_cli("classify", str(path), "--oracle", "2000", "--json")
+    assert sampler._one_chunk_candidates.cache_info().hits == 3
+    assert json.loads(cold)["oracle"]["left"]["best_trial"] is not None
+    assert warm == cold

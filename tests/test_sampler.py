@@ -297,3 +297,73 @@ def test_invariance_search_validates_arguments():
     for m, n, side in ((1, 4, "left"), (4, 1, "right"), (4, 1, "left")):
         with pytest.raises(ValueError, match="both local dimensions must be at least 2"):
             invariance_search(rho, m, n, side=side)
+
+
+def test_invariance_search_rejects_negative_seed():
+    rho = random_density(4, 1)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        invariance_search(rho, 2, 2, seed=-1)
+
+
+def test_one_chunk_candidates_are_drawn_once_for_both_sides(monkeypatch):
+    sampler._one_chunk_candidates.cache_clear()
+    gram_schmidt = sampler._unitaries_by_gram_schmidt
+    calls = []
+
+    def counting(z):
+        calls.append(z.shape)
+        return gram_schmidt(z)
+
+    monkeypatch.setattr(sampler, "_unitaries_by_gram_schmidt", counting)
+    for m, state_seed in ((3, 63), (4, 64)):
+        rho = random_density(m * m, state_seed)
+        calls.clear()
+        warm = {side: invariance_search(rho, m, m, side=side, trials=2000, seed=9)
+                for side in ("left", "right")}
+        assert calls == [(2000, 2, m, m)], m
+        cached = sampler._one_chunk_candidates(9, m, 2000)
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0, 0, 0] = 0.0
+        for side, report in warm.items():
+            # A random trial wins, so the winner comes from the candidate set.
+            assert report.best_trial is not None, (m, side)
+            assert not np.shares_memory(report.best_measurement.unitary, cached)
+            sampler._one_chunk_candidates.cache_clear()
+            cold = invariance_search(rho, m, m, side=side, trials=2000, seed=9)
+            assert cold.best_residual == report.best_residual, (m, side)
+            assert cold.best_trial == report.best_trial, (m, side)
+            assert cold.eigenbasis_residual == report.eigenbasis_residual, (m, side)
+            assert np.array_equal(cold.best_measurement.unitary,
+                                  report.best_measurement.unitary), (m, side)
+
+
+def test_one_chunk_candidates_miss_on_another_key():
+    sampler._one_chunk_candidates.cache_clear()
+    states = {(3, 3): random_density(9, 5), (2, 3): random_density(6, 5)}
+    invariance_search(states[3, 3], 3, 3, trials=100, seed=4)
+    # Each call changes one part of the key: seed, m, trials, seed.
+    for m, n, trials, seed in ((3, 3, 100, 5), (2, 3, 100, 5), (2, 3, 101, 5),
+                               (2, 3, 101, 4)):
+        misses = sampler._one_chunk_candidates.cache_info().misses
+        invariance_search(states[m, n], m, n, trials=trials, seed=seed)
+        assert sampler._one_chunk_candidates.cache_info().misses == misses + 1
+    # The same key again is a hit.
+    hits = sampler._one_chunk_candidates.cache_info().hits
+    invariance_search(states[2, 3], 2, 3, trials=101, seed=4)
+    assert sampler._one_chunk_candidates.cache_info().hits == hits + 1
+
+
+def test_search_longer_than_one_chunk_skips_the_shared_set(monkeypatch):
+    rho = random_density(4, 6)
+
+    def unexpected(*args):
+        raise AssertionError(f"one-chunk candidates requested for {args}")
+
+    expected = invariance_search(rho, 2, 2, trials=sampler._CHUNK_TRIALS, seed=2)
+    monkeypatch.setattr(sampler, "_one_chunk_candidates", unexpected)
+    longer = invariance_search(rho, 2, 2, trials=sampler._CHUNK_TRIALS + 1, seed=2)
+    assert longer.best_residual <= expected.best_residual
+    monkeypatch.setattr(sampler, "_CHUNK_TRIALS", 100)
+    for trials in (101, 250):
+        invariance_search(rho, 2, 2, trials=trials, seed=2)
