@@ -24,6 +24,7 @@ from vnlift import (  # noqa: E402
     numerical_rank,
     random_unitary,
 )
+from vnlift.measurement import MAX_CONSISTENCY_RESIDUAL, MAX_IDEMPOTENCY_DEFECT  # noqa: E402
 
 
 def main():
@@ -52,9 +53,9 @@ def main():
             consist.append(consistency_check(meas, basis))
         print(f"{m:>3} {args.samples:>8} {max(defects):>12.3e} "
               f"{rank_ok:>5}/{args.samples} {c_ok:>7}/{args.samples} {max(consist):>12.3e}")
-        # The same thresholds as `vnlift lift` and `vnlift selftest`.
         all_ok &= (rank_ok == c_ok == args.samples
-                   and max(defects) <= 1e-9 and max(consist) <= 1e-10)
+                   and max(defects) <= MAX_IDEMPOTENCY_DEFECT
+                   and max(consist) <= MAX_CONSISTENCY_RESIDUAL)
     return 0 if all_ok else 1
 
 

@@ -4,7 +4,7 @@ correlation in bipartite states."""
 __version__ = "0.1.0"
 
 from .basis import HermitianBasis, gell_mann_basis, pauli_gell_mann_basis
-from .bloch import BlochForm, correlation_matrix, decompose, reconstruct
+from .bloch import BlochForm, decompose, reconstruct
 from .classify import (
     BellDiagonalSpec,
     BellDiagonalVerdict,
@@ -13,6 +13,7 @@ from .classify import (
     check_classical_quantum,
     check_quantum_classical,
     classify_bell_diagonal,
+    classify_state,
     dakic_condition,
 )
 from .linalg import (

@@ -110,11 +110,5 @@ def reconstruct(bf: BlochForm) -> np.ndarray:
     m, n = bf.m, bf.n
     a = np.vstack((np.eye(m).ravel(), _flat(bf.basis_a).conj()))
     b = np.vstack((np.eye(n).ravel(), _flat(bf.basis_b).conj()))
-    x = a.T @ correlation_matrix(bf) @ b / (m * n)
+    x = a.T @ bf.correlation @ b / (m * n)
     return x.reshape(m, m, n, n).transpose(1, 3, 0, 2).reshape(m * n, m * n)
-
-
-def correlation_matrix(bf: BlochForm) -> np.ndarray:
-    """Block matrix [[1, S^T], [R, T]] of shape m^2 x n^2, read-only and
-    built once per BlochForm."""
-    return bf.correlation

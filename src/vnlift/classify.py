@@ -10,61 +10,79 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochForm, correlation_matrix
-from .linalg import DEFAULT_TOL, InvalidStateError, Tolerance, numerical_rank, rank_of_spectrum
-
-CLASSICAL_QUANTUM = "classical_quantum"
-QUANTUM_CLASSICAL = "quantum_classical"
-CLASSICAL_CLASSICAL = "classical_classical"
+from .basis import gell_mann_basis
+from .bloch import BlochForm, decompose
+from .linalg import (DEFAULT_TOL, InvalidStateError, Tolerance, numerical_rank, rank_of_spectrum,
+                     validate_density)
 
 
 @dataclass(frozen=True)
 class Verdict:
-    target_class: str
     ruled_out: bool
     computed_rank: int
     threshold: int
     evidence: np.ndarray
 
 
-def _verdict(target_class: str, evidence: np.ndarray, threshold: int, rank: int) -> Verdict:
-    return Verdict(
-        target_class=target_class,
-        ruled_out=rank > threshold,
-        computed_rank=rank,
-        threshold=threshold,
-        evidence=evidence,
-    )
+def _verdict(evidence: np.ndarray, threshold: int, rank: int) -> Verdict:
+    return Verdict(ruled_out=rank > threshold, computed_rank=rank, threshold=threshold,
+                   evidence=evidence)
 
 
-# Every evidence matrix is a block of C = correlation_matrix(bf) = [[1, S^T], [R, T]]:
+# Every evidence matrix is a block of C = bf.correlation = [[1, S^T], [R, T]]:
 # the one-sided screens read views of it, and the two screens on C itself
 # share its cached singular values.
 
 
 def check_classical_quantum(bf: BlochForm, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Classical-quantum states have rank(R|T) at most m-1."""
-    evidence = correlation_matrix(bf)[1:, :]
-    return _verdict(CLASSICAL_QUANTUM, evidence, bf.m - 1, numerical_rank(evidence, tol))
+    evidence = bf.correlation[1:, :]
+    return _verdict(evidence, bf.m - 1, numerical_rank(evidence, tol))
 
 
 def check_quantum_classical(bf: BlochForm, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Quantum-classical states have rank(S|T^T) at most n-1."""
-    evidence = correlation_matrix(bf)[:, 1:].T
-    return _verdict(QUANTUM_CLASSICAL, evidence, bf.n - 1, numerical_rank(evidence, tol))
+    evidence = bf.correlation[:, 1:].T
+    return _verdict(evidence, bf.n - 1, numerical_rank(evidence, tol))
 
 
 def check_classical_classical(bf: BlochForm, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Classical-classical states have rank [[1, S^T], [R, T]] at most min(m, n)."""
     rank = rank_of_spectrum(bf.correlation_spectrum, tol)
-    return _verdict(CLASSICAL_CLASSICAL, correlation_matrix(bf), min(bf.m, bf.n), rank)
+    return _verdict(bf.correlation, min(bf.m, bf.n), rank)
 
 
 def dakic_condition(bf: BlochForm, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Baseline screen: classical-quantum states have block correlation
     matrix rank at most m.  Strictly weaker than check_classical_quantum."""
     rank = rank_of_spectrum(bf.correlation_spectrum, tol)
-    return _verdict(CLASSICAL_QUANTUM, correlation_matrix(bf), bf.m, rank)
+    return _verdict(bf.correlation, bf.m, rank)
+
+
+# The four verdicts of a state, by name, in report order.
+SCREENS = {
+    "classical_quantum": check_classical_quantum,
+    "quantum_classical": check_quantum_classical,
+    "classical_classical": check_classical_classical,
+    "dakic": dakic_condition,
+}
+
+
+def classify_state(rho, m: int, n: int, tol: Tolerance = DEFAULT_TOL,
+                   validate: bool = True) -> dict:
+    """Validate rho as a density matrix on an m (x) n system (unless
+    ``validate`` is False), decompose it in the Gell-Mann bases and return
+    {name: Verdict} for every screen in SCREENS, in that order."""
+    if validate:
+        report = validate_density(rho, tol)
+        if not report.ok:
+            raise InvalidStateError(
+                "state file fails density validation: "
+                f"hermitian={report.hermitian} unit_trace={report.unit_trace} "
+                f"psd={report.psd} (min eigenvalue {report.min_eigenvalue:.3e})"
+            )
+    bf = decompose(rho, gell_mann_basis(m), gell_mann_basis(n), tol)
+    return {name: screen(bf, tol) for name, screen in SCREENS.items()}
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ measurement lift, basis dump, classifiers, and self-test together."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -12,18 +13,12 @@ import numpy as np
 
 from . import __version__
 from .basis import gell_mann_basis
-from .bloch import decompose
-from .classify import (
-    BellDiagonalSpec,
-    check_classical_classical,
-    check_classical_quantum,
-    check_quantum_classical,
-    classify_bell_diagonal,
-    dakic_condition,
-)
-from .linalg import DEFAULT_TOL, BasisError, Tolerance, numerical_rank, validate_density
-from .measurement import consistency_check, from_unitary, lift_matrix
+from .classify import BellDiagonalSpec, classify_bell_diagonal, classify_state
+from .linalg import DEFAULT_TOL, BasisError, Tolerance, numerical_rank
+from .measurement import (MAX_CONSISTENCY_RESIDUAL, MAX_IDEMPOTENCY_DEFECT, consistency_check,
+                          from_unitary, lift_matrix)
 from .sampler import (
+    InvarianceReport,
     invariance_search,
     random_classical_classical,
     random_classical_quantum,
@@ -64,19 +59,10 @@ def _dimension(doc: dict, key: str) -> int:
     return value
 
 
-def load_state(path: str, validate: bool = True, tol: Tolerance = DEFAULT_TOL):
+def load_state(path: str):
     doc = _load_object(path, ("m", "n", "rho"))
     m, n = _dimension(doc, "m"), _dimension(doc, "n")
-    rho = pairs_to_matrix(doc["rho"], m * n, m * n)
-    if validate:
-        report = validate_density(rho, tol)
-        if not report.ok:
-            raise ValueError(
-                "state file fails density validation: "
-                f"hermitian={report.hermitian} unit_trace={report.unit_trace} "
-                f"psd={report.psd} (min eigenvalue {report.min_eigenvalue:.3e})"
-            )
-    return m, n, rho
+    return m, n, pairs_to_matrix(doc["rho"], m * n, m * n)
 
 
 def load_unitary(path: str, dim: int | None = None) -> np.ndarray:
@@ -89,18 +75,20 @@ def _dump(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2)
 
 
-def _verdict_doc(v) -> dict:
-    return {
-        "ruled_out": v.ruled_out,
-        "rank": v.computed_rank,
-        "threshold": v.threshold,
-    }
+# Text-output label of each classify_state verdict.
+_LABELS = {"classical_quantum": "classical-quantum", "quantum_classical": "quantum-classical",
+           "classical_classical": "classical-classical", "dakic": "dakic baseline"}
+
+# The JSON oracle entry holds every InvarianceReport field but the winning
+# measurement, which is a matrix, not a scalar.
+_ORACLE_FIELDS = tuple(f.name for f in dataclasses.fields(InvarianceReport)
+                       if f.name != "best_measurement")
 
 
 def _verdict_line(name: str, v) -> str:
     word = "RULED-OUT   " if v.ruled_out else "INCONCLUSIVE"
     rel = ">" if v.ruled_out else "<="
-    return f"{name:<20}: {word} (rank {v.computed_rank} {rel} {v.threshold})"
+    return f"{_LABELS[name]:<20}: {word} (rank {v.computed_rank} {rel} {v.threshold})"
 
 
 def cmd_basis(args) -> int:
@@ -130,7 +118,7 @@ def cmd_lift(args) -> int:
         "idempotency_defect": defect,
     }
     print(_dump(doc))
-    if defect > 1e-9 or rank != meas.dim - 1:
+    if defect > MAX_IDEMPOTENCY_DEFECT or rank != meas.dim - 1:
         print(
             f"error: lifted matrix violates structural invariants "
             f"(defect {defect:.3e}, rank {rank})",
@@ -142,23 +130,13 @@ def cmd_lift(args) -> int:
 
 def cmd_classify(args) -> int:
     tol = Tolerance(args.tol_rank, args.tol_eq)
-    m, n, rho = load_state(args.state, validate=not args.no_validate, tol=tol)
-    bf = decompose(rho, gell_mann_basis(m), gell_mann_basis(n), tol)
-    cq = check_classical_quantum(bf, tol)
-    qc = check_quantum_classical(bf, tol)
-    cc = check_classical_classical(bf, tol)
-    dk = dakic_condition(bf, tol)
+    m, n, rho = load_state(args.state)
+    verdicts = classify_state(rho, m, n, tol, validate=not args.no_validate)
     oracle = {}
     if args.oracle:
         for side in ("left", "right"):
-            rep = invariance_search(rho, m, n, side=side, trials=args.oracle, seed=args.seed)
-            oracle[side] = {
-                "best_residual": rep.best_residual,
-                "trials": rep.trials,
-                "reduced_spectrum_degenerate": rep.reduced_spectrum_degenerate,
-                "best_trial": rep.best_trial,
-                "eigenbasis_residual": rep.eigenbasis_residual,
-            }
+            oracle[side] = invariance_search(rho, m, n, side=side, trials=args.oracle,
+                                             seed=args.seed)
     if args.json:
         doc = {
             "input": os.path.basename(args.state),
@@ -166,27 +144,23 @@ def cmd_classify(args) -> int:
             "n": n,
             "tolerances": {"rank_rel": tol.rank_rel, "eq_abs": tol.eq_abs},
             "checks": {
-                "classical_quantum": _verdict_doc(cq),
-                "quantum_classical": _verdict_doc(qc),
-                "classical_classical": _verdict_doc(cc),
-                "dakic": _verdict_doc(dk),
+                name: {"ruled_out": v.ruled_out, "rank": v.computed_rank, "threshold": v.threshold}
+                for name, v in verdicts.items()
             },
-            "oracle": oracle,
+            "oracle": {side: {f: getattr(rep, f) for f in _ORACLE_FIELDS}
+                       for side, rep in oracle.items()},
         }
         print(_dump(doc))
     else:
         print(f"state: {args.state} ({m} x {n})")
-        print(_verdict_line("classical-quantum", cq))
-        print(_verdict_line("quantum-classical", qc))
-        print(_verdict_line("classical-classical", cc))
-        print(_verdict_line("dakic baseline", dk))
+        for name, v in verdicts.items():
+            print(_verdict_line(name, v))
         for side, rep in oracle.items():
-            winner = ("eigenbasis" if rep["best_trial"] is None
-                      else f"trial {rep['best_trial']}")
+            winner = "eigenbasis" if rep.best_trial is None else f"trial {rep.best_trial}"
             print(
-                f"oracle {side:<5}: best residual {rep['best_residual']:.3e} "
-                f"over {rep['trials']} trials (won by {winner}; "
-                f"eigenbasis residual {rep['eigenbasis_residual']:.3e})"
+                f"oracle {side:<5}: best residual {rep.best_residual:.3e} "
+                f"over {rep.trials} trials (won by {winner}; "
+                f"eigenbasis residual {rep.eigenbasis_residual:.3e})"
             )
         print(f"tolerances: rank_rel={tol.rank_rel:g} eq_abs={tol.eq_abs:g}")
     return 0
@@ -227,9 +201,10 @@ def cmd_selftest(args) -> int:
         for k in range(50):
             meas = from_unitary(random_unitary(m, seed + 97 * m + k), tol)
             lifted = lift_matrix(meas, b, tol)
-            if lifted.idempotency_defect > 1e-9 or numerical_rank(lifted.matrix, tol) != m - 1:
+            defect = lifted.idempotency_defect
+            if defect > MAX_IDEMPOTENCY_DEFECT or numerical_rank(lifted.matrix, tol) != m - 1:
                 ok_lift = False
-            if consistency_check(meas, b) > 1e-10:
+            if consistency_check(meas, b) > MAX_CONSISTENCY_RESIDUAL:
                 ok_consist = False
     record("lift idempotent, rank m-1 (50 random unitaries, m=2,3)", ok_lift)
     record("channel matches coefficient matrix C", ok_consist)
@@ -237,17 +212,12 @@ def cmd_selftest(args) -> int:
     ok_cq = True
     ok_cc = True
     for k in range(50):
-        rho = random_classical_quantum(2, 2, seed + k)
-        bf = decompose(rho, gell_mann_basis(2), gell_mann_basis(2), tol)
-        if check_classical_quantum(bf, tol).ruled_out:
+        verdicts = classify_state(random_classical_quantum(2, 2, seed + k), 2, 2, tol)
+        if verdicts["classical_quantum"].ruled_out:
             ok_cq = False
-        rho = random_classical_classical(2, 2, seed + 1000 + k)
-        bf = decompose(rho, gell_mann_basis(2), gell_mann_basis(2), tol)
-        if (
-            check_classical_quantum(bf, tol).ruled_out
-            or check_quantum_classical(bf, tol).ruled_out
-            or check_classical_classical(bf, tol).ruled_out
-        ):
+        verdicts = classify_state(random_classical_classical(2, 2, seed + 1000 + k), 2, 2, tol)
+        if any(verdicts[name].ruled_out
+               for name in ("classical_quantum", "quantum_classical", "classical_classical")):
             ok_cc = False
     record("no false rule-outs on constructed classical-quantum states", ok_cq)
     record("no false rule-outs on constructed classical-classical states", ok_cc)

@@ -10,6 +10,11 @@ import numpy as np
 from .basis import HermitianBasis, gell_mann_basis
 from .linalg import DEFAULT_TOL, ShapeError, Tolerance, as_matrix, check_unitary, frobenius
 
+# Structural bounds a lifted measurement must meet: ||M^2 - M||_F, and the
+# deviation that consistency_check reports.
+MAX_IDEMPOTENCY_DEFECT = 1e-9
+MAX_CONSISTENCY_RESIDUAL = 1e-10
+
 
 @dataclass(frozen=True)
 class VonNeumannMeasurement:

@@ -3,7 +3,6 @@ import pytest
 
 from vnlift import (
     BlochForm,
-    correlation_matrix,
     decompose,
     gell_mann_basis,
     numerical_rank,
@@ -98,7 +97,7 @@ def test_product_state_correlations_factorize():
         rho_b = random_density(3, 200 + seed)
         bf = decompose(np.kron(rho_a, rho_b), gell_mann_basis(2), gell_mann_basis(3))
         assert np.allclose(bf.T, np.outer(bf.R, bf.S), atol=1e-10)
-        assert numerical_rank(correlation_matrix(bf)) == 1
+        assert numerical_rank(bf.correlation) == 1
 
 
 def test_decompose_rejects_non_hermitian():
@@ -121,12 +120,12 @@ def test_correlation_matrix_rho_zero():
             [r3, 0, 0, t],
         ]
     )
-    assert np.allclose(correlation_matrix(bf), expected, atol=1e-12)
-    assert numerical_rank(correlation_matrix(bf)) == 2
+    assert np.allclose(bf.correlation, expected, atol=1e-12)
+    assert numerical_rank(bf.correlation) == 2
 
 
 def test_correlation_matrix_maximally_mixed():
     bf = decompose(np.eye(4) / 4.0, B2, B2)
-    cm = correlation_matrix(bf)
+    cm = bf.correlation
     assert cm[0, 0] == 1.0
     assert numerical_rank(cm) == 1

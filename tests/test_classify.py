@@ -9,7 +9,7 @@ from vnlift import (
     check_classical_quantum,
     check_quantum_classical,
     classify_bell_diagonal,
-    correlation_matrix,
+    classify_state,
     dakic_condition,
     decompose,
     gell_mann_basis,
@@ -22,6 +22,7 @@ from vnlift import (
     random_unitary,
     validate_density,
 )
+from vnlift import classify
 from tests.conftest import bell_diagonal_state, rho_zero
 
 B2 = gell_mann_basis(2)
@@ -218,12 +219,34 @@ def test_screens_read_one_correlation_matrix(m, n, monkeypatch):
         assert len(calls) == 3
         assert np.array_equal(cq.evidence, np.column_stack((bf.R, bf.T)))
         assert np.array_equal(qc.evidence, np.column_stack((bf.S, bf.T.T)))
-        c = correlation_matrix(bf)
+        c = bf.correlation
         assert cc.evidence is c and dk.evidence is c
         assert cc.computed_rank == dk.computed_rank == numerical_rank(c)
         for arr in (c, bf.R, bf.S, bf.T, bf.correlation_spectrum):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (3, 2), (4, 2), (4, 3), (8, 4)])
+def test_classify_state_matches_the_screens_in_order(m, n):
+    assert list(classify.SCREENS) == [
+        "classical_quantum", "quantum_classical", "classical_classical", "dakic"]
+    assert tuple(classify.SCREENS.values()) == SCREENS
+    for rho in corpus(m, n, range(3)):
+        verdicts = classify_state(rho, m, n)
+        assert list(verdicts) == list(classify.SCREENS)
+        bf = bloch(rho, m, n)
+        for v, screen in zip(verdicts.values(), SCREENS):
+            direct = screen(bf)
+            assert (v.ruled_out, v.computed_rank, v.threshold) == (
+                direct.ruled_out, direct.computed_rank, direct.threshold)
+
+
+def test_classify_state_validates_unless_told_not_to():
+    rho = np.diag([1.5, -0.5, 0.0, 0.0])
+    with pytest.raises(InvalidStateError, match="psd=False"):
+        classify_state(rho, 2, 2)
+    assert list(classify_state(rho, 2, 2, validate=False)) == list(classify.SCREENS)
 
 
 def test_hand_built_bloch_form_runs_every_screen():
@@ -234,7 +257,7 @@ def test_hand_built_bloch_form_runs_every_screen():
     ranks = [screen(bf).computed_rank for screen in SCREENS]
     assert ranks == [2, 2, 3, 3]
     assert [screen(bf).ruled_out for screen in SCREENS] == [True, True, True, True]
-    assert np.array_equal(correlation_matrix(bf), np.diag([1.0, 0.3, 0.4, 0.0]))
+    assert np.array_equal(bf.correlation, np.diag([1.0, 0.3, 0.4, 0.0]))
     bad = BlochForm(m=3, n=2, R=zero, S=zero, T=np.zeros((3, 3)), basis_a=b, basis_b=b)
     with pytest.raises(ValueError, match="inconsistent with dimensions"):
         check_classical_quantum(bad)

@@ -45,10 +45,17 @@ def test_lift_subcommand_hadamard():
 
 
 def test_classify_text_output():
-    status, out = run_cli("classify", os.path.join(FIXDIR, "rho0_x_2.json"))
+    path = os.path.join(FIXDIR, "rho0_x_2.json")
+    status, out = run_cli("classify", path)
     assert status == 0
-    assert "classical-quantum" in out and "RULED-OUT" in out
-    assert "dakic baseline" in out and "INCONCLUSIVE" in out
+    assert out.splitlines() == [
+        f"state: {path} (2 x 2)",
+        "classical-quantum   : RULED-OUT    (rank 2 > 1)",
+        "quantum-classical   : RULED-OUT    (rank 2 > 1)",
+        "classical-classical : INCONCLUSIVE (rank 2 <= 2)",
+        "dakic baseline      : INCONCLUSIVE (rank 2 <= 2)",
+        "tolerances: rank_rel=1e-09 eq_abs=1e-10",
+    ]
 
 
 def test_classify_json_deterministic():
@@ -114,12 +121,13 @@ def test_classify_missing_file_exits_2():
     assert status == 2
 
 
-def test_classify_invalid_density_exits_2(tmp_path):
+def test_classify_invalid_density_exits_2(tmp_path, capsys):
     rho = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"m": 2, "n": 2, "rho": matrix_to_pairs(rho)}))
     status, _ = run_cli("classify", str(path))
     assert status == 2
+    assert "psd=False" in capsys.readouterr().err
     # The escape hatch admits deliberately invalid inputs.
     status, _ = run_cli("classify", str(path), "--no-validate")
     assert status == 0

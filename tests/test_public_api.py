@@ -26,8 +26,8 @@ PUBLIC_API = {
     "check_quantum_classical",
     "check_unitary",
     "classify_bell_diagonal",
+    "classify_state",
     "consistency_check",
-    "correlation_matrix",
     "dakic_condition",
     "decompose",
     "from_unitary",
