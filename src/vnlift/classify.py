@@ -77,7 +77,7 @@ def classify_state(rho, m: int, n: int, tol: Tolerance = DEFAULT_TOL,
         report = validate_density(rho, tol)
         if not report.ok:
             raise InvalidStateError(
-                "state file fails density validation: "
+                "state fails density validation: "
                 f"hermitian={report.hermitian} unit_trace={report.unit_trace} "
                 f"psd={report.psd} (min eigenvalue {report.min_eigenvalue:.3e})"
             )

@@ -29,8 +29,7 @@ class VonNeumannMeasurement:
 
     def projectors(self) -> np.ndarray:
         """(m, m, m) array; slice i is |phi_i><phi_i|."""
-        u = self.unitary
-        return np.einsum("ia,ib->iab", u, u.conj())
+        return np.einsum("ia,ib->iab", self.unitary, self.unitary.conj())
 
 
 @dataclass(frozen=True)
@@ -44,8 +43,7 @@ class LiftedMeasurement:
 
     @property
     def idempotency_defect(self) -> float:
-        m = self.matrix
-        return frobenius(m @ m - m)
+        return frobenius(self.matrix @ self.matrix - self.matrix)
 
 
 def from_unitary(a, tol: Tolerance = DEFAULT_TOL) -> VonNeumannMeasurement:
@@ -54,9 +52,10 @@ def from_unitary(a, tol: Tolerance = DEFAULT_TOL) -> VonNeumannMeasurement:
 
 
 def _coefficients(u: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """D[s, i] = <phi_s|mu_i|phi_s>, where phi_s is row s of u; real up to
-    round-off when the elements are Hermitian."""
-    return np.einsum("sa,iab,sb->si", u.conj(), elements, u)
+    """D[s, i] = <phi_s|mu_i|phi_s> for the rows phi_s of u: one product of the
+    rows conj(phi_s) (x) phi_s with the flattened elements' transpose."""
+    rows = (u.conj()[:, :, np.newaxis] * u[:, np.newaxis, :]).reshape(len(u), -1)
+    return rows @ elements.reshape(len(elements), -1).T
 
 
 def apply(meas: VonNeumannMeasurement, x) -> np.ndarray:
@@ -116,13 +115,14 @@ def build_C0(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
 def consistency_check(meas: VonNeumannMeasurement, b: HermitianBasis) -> float:
     """Max entrywise deviation between the channel applied to each element of
-    b by its definition, sum_s P_s mu_i P_s, and the projector combination
-    sum_s D[s, i] P_s that the coefficient matrix D in b predicts."""
+    b by its definition, sum_s P_s mu_i P_s, through the superoperator
+    S[(q, r), (p, t)] = sum_s P_s[p, q] P_s[r, t], and the combination
+    sum_s D[s, i] P_s that the coefficient matrix D in b predicts.  S never reads D."""
     if b.dim != meas.dim:
         raise ShapeError(f"basis dim {b.dim} != measurement dim {meas.dim}")
-    proj = meas.projectors()
-    stack = b.stack()
-    sandwich = proj[:, np.newaxis]
-    applied = (sandwich @ stack @ sandwich).sum(axis=0)
-    predicted = np.einsum("si,sab->iab", _coefficients(meas.unitary, stack), proj)
+    m = meas.dim
+    proj = meas.projectors().reshape(m, m * m)
+    superop = (proj.T @ proj).reshape(m, m, m, m).transpose(1, 2, 0, 3).reshape(m * m, m * m)
+    applied = b.stack().reshape(-1, m * m) @ superop
+    predicted = _coefficients(meas.unitary, b.stack()).T @ proj
     return float(np.max(np.abs(applied - predicted)))

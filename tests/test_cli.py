@@ -127,7 +127,10 @@ def test_classify_invalid_density_exits_2(tmp_path, capsys):
     path.write_text(json.dumps({"m": 2, "n": 2, "rho": matrix_to_pairs(rho)}))
     status, _ = run_cli("classify", str(path))
     assert status == 2
-    assert "psd=False" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: state fails density validation: hermitian=True unit_trace=True "
+        "psd=False (min eigenvalue -5.000e-01)\n"
+    )
     # The escape hatch admits deliberately invalid inputs.
     status, _ = run_cli("classify", str(path), "--no-validate")
     assert status == 0

@@ -18,6 +18,7 @@ from vnlift import (
     pauli_gell_mann_basis,
     random_unitary,
 )
+from vnlift import measurement
 from tests.conftest import SIGMA
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -85,6 +86,16 @@ def test_apply_kills_off_diagonal():
 def test_hadamard_measurement_annihilates_sigma3():
     meas = from_unitary(HADAMARD)
     assert np.max(np.abs(apply(meas, SIGMA[3]))) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [3, 6])
+def test_apply_non_hermitian_matches_definition(m):
+    # D of a non-Hermitian x is complex; its imaginary part must survive.
+    rng = np.random.default_rng(40 + m)
+    meas = from_unitary(random_unitary(m, 500 + m))
+    x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    expected = sum(p @ x @ p for p in meas.projectors())
+    assert np.max(np.abs(apply(meas, x) - expected)) <= 1e-12
 
 
 def test_apply_rejects_wrong_shape():
@@ -179,7 +190,7 @@ def test_C_and_C0_rank_and_row_sums(m):
         assert np.max(np.abs(c0.sum(axis=0))) <= 1e-12
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 8])
 def test_coefficient_matrices_match_closed_form(m):
     basis = gell_mann_basis(m)
     for k in range(25):
@@ -215,9 +226,25 @@ def test_consistency_check_random_m4():
     assert consistency_check(meas, gell_mann_basis(4)) <= 1e-10
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 8])
 def test_consistency_check_any_orthonormal_basis(m):
     basis = pauli_gell_mann_basis(m)
     for k in range(10):
         meas = from_unitary(random_unitary(m, 300 * m + k))
         assert consistency_check(meas, basis) <= 1e-10
+
+
+def test_consistency_check_does_not_read_coefficients(monkeypatch):
+    # The definition side must not go through D, or a wrong D would agree with itself.
+    meas = from_unitary(random_unitary(3, 11))
+    basis = gell_mann_basis(3)
+    assert consistency_check(meas, basis) <= 1e-10
+    exact = measurement._coefficients
+
+    def perturbed(u, elements):
+        d = exact(u, elements).copy()
+        d[0, 0] += 1e-6
+        return d
+
+    monkeypatch.setattr(measurement, "_coefficients", perturbed)
+    assert consistency_check(meas, basis) >= 1e-7
