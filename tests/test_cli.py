@@ -143,6 +143,14 @@ def test_lift_non_unitary_exits_2(tmp_path):
     assert status == 2
 
 
+def test_lift_overflowing_unitary_exits_2(tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"m": 2, "u": matrix_to_pairs(np.diag([1e308, 1e308]))}))
+    status, out = run_cli("lift", str(path))
+    assert status == 2 and out == ""
+    assert capsys.readouterr().err == "error: matrix is not unitary: ||AA^dag - I||_F = nan\n"
+
+
 MAXIMALLY_MIXED_PAIRS = matrix_to_pairs(np.eye(4) / 4.0)
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -85,6 +87,62 @@ def test_check_unitary_rejects():
         check_unitary(np.array([[1, 1], [0, 1]]))
 
 
+@pytest.mark.parametrize(
+    "a", [np.diag([1e308, 1e308]), np.diag([1e200, 1e-200])], ids=["1e308", "1e200_1e-200"]
+)
+def test_check_unitary_rejects_overflowing_defect(a):
+    # A A^dag overflows, so the defect is NaN or Inf: that fails the test too,
+    # and raises without a RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnitarityError, match="not unitary"):
+            check_unitary(a)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_check_unitary_rejects_non_finite_entries(bad):
+    u = np.eye(2, dtype=complex)
+    u[0, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="NaN or Inf") as info:
+            check_unitary(u)
+    assert not isinstance(info.value, UnitarityError)
+    # The finite-entry scan still comes before the shape check.
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        check_unitary(np.full((2, 3), bad))
+
+
+def _rotated_spectrum(kind: str, d: int, eq_abs: float, seed: int) -> np.ndarray:
+    """U diag(lam) U^dag for a random unitary U and a spectrum of the given kind."""
+    rng = np.random.default_rng(seed)
+    lam = np.zeros(d)
+    if kind == "pure":
+        lam[0] = 1.0
+    elif kind == "half_rank":
+        lam[: d // 2] = rng.dirichlet(np.ones(d // 2))
+    else:
+        lam[1:] = rng.dirichlet(np.ones(d - 1))
+        lam[0] = {"below_cutoff": -eq_abs * (1 + 1e-3), "above_cutoff": -eq_abs * (1 - 1e-3),
+                  "round_off": -1e-14}[kind]
+    u = random_unitary(d, 1000 + seed)
+    return (u * lam) @ u.conj().T
+
+
+@pytest.mark.parametrize("tol", [Tolerance(), Tolerance(eq_abs=1e-6)], ids=["default", "eq1e-6"])
+@pytest.mark.parametrize("d", [4, 9, 36, 64])
+@pytest.mark.parametrize(
+    "kind", ["below_cutoff", "above_cutoff", "round_off", "pure", "half_rank"]
+)
+def test_psd_decision_matches_the_smallest_eigenvalue(kind, d, tol):
+    for seed in range(4):
+        rho = _rotated_spectrum(kind, d, tol.eq_abs, seed)
+        expected = np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0] >= -tol.eq_abs
+        assert expected == (kind != "below_cutoff")
+        report = validate_density(rho, tol)
+        assert report.psd == expected
+
+
 def test_validate_density_maximally_mixed():
     report = validate_density(np.eye(4) / 4.0)
     assert report.ok and report.min_eigenvalue >= 0.24
@@ -99,7 +157,12 @@ def test_validate_density_negative_eigenvalue():
     report = validate_density(np.diag([1.5, -0.5]).astype(complex))
     assert report.unit_trace
     assert not report.psd
+    # The eigenvalue is computed on first read only, from the read-only
+    # symmetrised state.
+    assert "min_eigenvalue" not in vars(report)
+    assert not report.symmetrized.flags.writeable
     assert report.min_eigenvalue == pytest.approx(-0.5)
+    assert "min_eigenvalue" in vars(report)
 
 
 def test_tolerance_validation():
