@@ -9,16 +9,17 @@ from functools import cached_property
 import numpy as np
 
 from .basis import HermitianBasis
-from .linalg import DEFAULT_TOL, ShapeError, Tolerance, _is_hermitian, as_matrix, singular_values
+from .linalg import DEFAULT_TOL, ShapeError, Tolerance, _finite_matrix, _is_hermitian, as_matrix
 
 
 @dataclass(frozen=True)
 class BlochForm:
     """Local vectors R, S and correlations T of a state on an m (x) n system.
 
-    The block correlation matrix and its singular values are computed once,
-    on first use, and every screen reads them. They assume R, S and T are not
-    written to afterwards; ``decompose`` returns them read-only.
+    The block correlation matrix and the singular values of it and of its
+    screened blocks are computed once, on first use, and every screen reads
+    them. They assume R, S and T are not written to afterwards;
+    ``decompose`` returns them read-only.
     """
 
     m: int
@@ -47,11 +48,31 @@ class BlochForm:
         return c
 
     @cached_property
-    def correlation_spectrum(self) -> np.ndarray:
-        """Read-only singular values of ``correlation``, largest first."""
-        s = singular_values(self.correlation)
+    def screen_spectra(self) -> np.ndarray:
+        """Read-only singular values, largest first, of (R|T), (S|T^T) and C
+        in rows 0, 1 and 2, from one batched SVD.
+
+        Rows 0 and 1 are the spectra of C with its first row, and with its
+        first column, set to zero. A zero row or column adds one zero
+        singular value and leaves the others as they are, so each row holds
+        its block's spectrum, padded with a round-off zero where the block
+        has fewer singular values than C. The zero lies far below any rank
+        cutoff, so it never counts.
+        """
+        c = _finite_matrix(self.correlation)
+        # The dtype singular_values uses, so that row 2 matches it bit for bit.
+        stack = np.empty((3, *c.shape), dtype=complex if np.iscomplexobj(c) else float)
+        stack[:] = c
+        stack[0, 0, :] = 0.0
+        stack[1, :, 0] = 0.0
+        s = np.linalg.svd(stack, compute_uv=False)
         s.flags.writeable = False
         return s
+
+    @property
+    def correlation_spectrum(self) -> np.ndarray:
+        """Read-only singular values of ``correlation``, largest first."""
+        return self.screen_spectra[2]
 
 
 def _flat(basis: HermitianBasis) -> np.ndarray:
@@ -89,7 +110,7 @@ def decompose(
     s = n * xb[:: m + 1].sum(0)
     t = m * n * (a @ xb)
     for name, arr in (("R", r), ("S", s), ("T", t)):
-        residue = float(np.max(np.abs(arr.imag), initial=0.0))
+        residue = float(np.abs(arr.imag).max(initial=0.0))
         if residue > tol.eq_abs:
             raise ValueError(f"{name} has imaginary residue {residue:.3e}")
     r, s, t = r.real, s.real, t.real

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,8 +39,10 @@ class Tolerance:
     def __post_init__(self):
         if not 0.0 < self.rank_rel < 1.0:
             raise ValueError(f"rank_rel must lie in (0, 1), got {self.rank_rel}")
-        if self.eq_abs <= 0.0:
-            raise ValueError(f"eq_abs must be positive, got {self.eq_abs}")
+        # Written so that NaN fails: an infinite eq_abs zeroes every rank, and
+        # a NaN one fails every comparison.
+        if not 0.0 < self.eq_abs < math.inf:
+            raise ValueError(f"eq_abs must be positive and finite, got {self.eq_abs}")
 
 
 DEFAULT_TOL = Tolerance()
@@ -97,7 +100,7 @@ def is_hermitian(a, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def _is_hermitian(a: np.ndarray, tol: Tolerance) -> bool:
     """Hermiticity of a square matrix that ``as_matrix`` already returned."""
-    return bool(np.max(np.abs(a - a.conj().T), initial=0.0) <= tol.eq_abs)
+    return bool(np.abs(a - a.conj().T).max(initial=0.0) <= tol.eq_abs)
 
 
 def check_unitary(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -154,11 +157,13 @@ def validate_density(rho, tol: Tolerance = DEFAULT_TOL) -> DensityReport:
     rho = as_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise ShapeError(f"density matrix must be square, got {rho.shape}")
-    herm = _is_hermitian(rho, tol)
+    # One adjoint serves _is_hermitian's test and the symmetrisation.
+    rho_dag = rho.conj().T
+    herm = bool(np.abs(rho - rho_dag).max(initial=0.0) <= tol.eq_abs)
     unit_trace = abs(np.trace(rho) - 1.0) <= tol.eq_abs
     # The factorisation reads one triangle only; symmetrizing makes that the
     # same matrix whose smallest eigenvalue min_eigenvalue reports.
-    sym = (rho + rho.conj().T) / 2.0
+    sym = (rho + rho_dag) / 2.0
     sym.flags.writeable = False
     shifted = sym.copy()
     shifted.reshape(-1)[:: rho.shape[0] + 1] += tol.eq_abs

@@ -5,6 +5,7 @@ from vnlift import (
     BellDiagonalSpec,
     BlochForm,
     InvalidStateError,
+    ShapeError,
     check_classical_classical,
     check_classical_quantum,
     check_quantum_classical,
@@ -23,6 +24,7 @@ from vnlift import (
     validate_density,
 )
 from vnlift import classify
+from vnlift.linalg import singular_values
 from tests.conftest import bell_diagonal_state, rho_zero
 
 B2 = gell_mann_basis(2)
@@ -215,16 +217,40 @@ def test_screens_read_one_correlation_matrix(m, n, monkeypatch):
         bf = bloch(rho, m, n)
         calls.clear()
         cq, qc, cc, dk = (screen(bf) for screen in SCREENS)
-        # (R|T) and (S|T^T) are blocks of C, and the two screens on C share its spectrum.
-        assert len(calls) == 3
+        # (R|T) and (S|T^T) are blocks of C, and one batched SVD gives all three spectra.
+        assert len(calls) == 1
         assert np.array_equal(cq.evidence, np.column_stack((bf.R, bf.T)))
         assert np.array_equal(qc.evidence, np.column_stack((bf.S, bf.T.T)))
         c = bf.correlation
         assert cc.evidence is c and dk.evidence is c
         assert cc.computed_rank == dk.computed_rank == numerical_rank(c)
-        for arr in (c, bf.R, bf.S, bf.T, bf.correlation_spectrum):
+        for arr in (c, bf.R, bf.S, bf.T, bf.correlation_spectrum, bf.screen_spectra):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "m,n",
+    [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4), (6, 6), (8, 4), (8, 8), (2, 8)],
+)
+def test_screen_spectra_are_the_spectra_of_the_evidence(m, n):
+    for rho in corpus(m, n, range(3)):
+        bf = bloch(rho, m, n)
+        spectra = bf.screen_spectra
+        assert spectra.shape == (3, min(m * m, n * n))
+        assert not spectra.flags.writeable
+        verdicts = [screen(bf) for screen in SCREENS]
+        # Zeroing C's first row or column adds one zero singular value where
+        # the block has fewer singular values than C.
+        for row, v in zip(spectra[:2], verdicts[:2]):
+            exact = singular_values(v.evidence)
+            k = len(exact)
+            assert np.allclose(row[:k], exact, rtol=0, atol=1e-13 * exact[0])
+            assert np.all(row[k:] <= 1e-13 * exact[0])
+        assert np.array_equal(spectra[2], singular_values(bf.correlation))
+        assert bf.correlation_spectrum.base is spectra
+        for v in verdicts:
+            assert v.computed_rank == numerical_rank(v.evidence)
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (3, 2), (4, 2), (4, 3), (8, 4)])
@@ -261,6 +287,31 @@ def test_hand_built_bloch_form_runs_every_screen():
     bad = BlochForm(m=3, n=2, R=zero, S=zero, T=np.zeros((3, 3)), basis_a=b, basis_b=b)
     with pytest.raises(ValueError, match="inconsistent with dimensions"):
         check_classical_quantum(bad)
+
+
+def test_one_sided_screens_refuse_an_empty_block():
+    # At m = 1, (R|T) has no rows; at n = 1, (S|T^T) has none. Their zero-padded
+    # spectra would read rank 0, but the rank of an empty matrix is undefined.
+    b = gell_mann_basis(2)
+    one_by_two = BlochForm(m=1, n=2, R=np.zeros(0), S=np.full(3, 0.2), T=np.zeros((0, 3)),
+                           basis_a=b, basis_b=b)
+    with pytest.raises(ShapeError, match="empty matrix"):
+        check_classical_quantum(one_by_two)
+    assert check_quantum_classical(one_by_two).computed_rank == 1
+    two_by_one = BlochForm(m=2, n=1, R=np.full(3, 0.2), S=np.zeros(0), T=np.zeros((3, 0)),
+                           basis_a=b, basis_b=b)
+    with pytest.raises(ShapeError, match="empty matrix"):
+        check_quantum_classical(two_by_one)
+    assert check_classical_quantum(two_by_one).computed_rank == 1
+
+
+def test_screens_refuse_non_finite_correlations():
+    b = gell_mann_basis(2)
+    t = np.diag([0.3, np.nan, 0.0])
+    bf = BlochForm(m=2, n=2, R=np.zeros(3), S=np.zeros(3), T=t, basis_a=b, basis_b=b)
+    for screen in SCREENS:
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            screen(bf)
 
 
 @pytest.mark.parametrize(

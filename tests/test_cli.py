@@ -151,6 +151,16 @@ def test_lift_overflowing_unitary_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: matrix is not unitary: ||AA^dag - I||_F = nan\n"
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "command,path", [("classify", "rho0_x_2.json"), ("lift", "hadamard2.json")])
+def test_non_finite_tol_eq_exits_2(capsys, command, path, value):
+    status, out = run_cli(command, os.path.join(FIXDIR, path), "--tol-eq", value)
+    assert status == 2 and out == ""
+    assert capsys.readouterr().err == (
+        f"error: eq_abs must be positive and finite, got {value}\n")
+
+
 MAXIMALLY_MIXED_PAIRS = matrix_to_pairs(np.eye(4) / 4.0)
 
 

@@ -165,6 +165,16 @@ def test_validate_density_negative_eigenvalue():
     assert "min_eigenvalue" in vars(report)
 
 
+@pytest.mark.parametrize("d", [4, 9, 64])
+def test_symmetrized_is_the_hermitian_part_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    rho = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    for a in (rho, rho + rho.conj().T, random_unitary(d, d)):
+        report = validate_density(a)
+        assert np.array_equal(report.symmetrized, (a + a.conj().T) / 2)
+        assert report.hermitian == is_hermitian(a)
+
+
 def test_tolerance_validation():
     with pytest.raises(ValueError):
         Tolerance(rank_rel=0.0)
@@ -172,3 +182,7 @@ def test_tolerance_validation():
         Tolerance(eq_abs=0.0)
     with pytest.raises(ValueError):
         Tolerance(rank_rel=1.5)
+    # An infinite eq_abs would zero every rank; a NaN one fails every comparison.
+    for eq_abs in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="eq_abs must be positive and finite"):
+            Tolerance(eq_abs=eq_abs)
