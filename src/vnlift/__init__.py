@@ -25,14 +25,12 @@ from .linalg import (
     Tolerance,
     UnitarityError,
     check_unitary,
-    is_hermitian,
     numerical_rank,
     validate_density,
 )
 from .measurement import (
     LiftedMeasurement,
     VonNeumannMeasurement,
-    apply,
     build_C,
     build_C0,
     consistency_check,

@@ -20,13 +20,13 @@ class HermitianBasis:
     Construction checks the shape, Hermiticity and tracelessness of every
     element and that the Hilbert-Schmidt Gram matrix is the identity, all at
     DEFAULT_TOL.eq_abs, so every instance is a valid basis.  The elements are
-    read-only views of one read-only stack.
+    read-only views of one read-only matrix, ``augmented()``.
     """
 
     dim: int
     elements: tuple
     labels: tuple
-    _stack: np.ndarray = field(init=False, repr=False, compare=False)
+    _augmented: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m, k = self.dim, self.dim**2 - 1
@@ -47,13 +47,19 @@ class HermitianBasis:
         gram = np.einsum("iab,jab->ij", stack.conj(), stack)
         if not np.max(np.abs(gram - np.eye(k))) <= eq:
             raise BasisError("basis must be Hilbert-Schmidt orthonormal")
-        stack.setflags(write=False)
-        object.__setattr__(self, "_stack", stack)
-        object.__setattr__(self, "elements", tuple(stack))
+        augmented = np.vstack((np.eye(m).ravel(), stack.reshape(k, m * m)))
+        augmented.setflags(write=False)
+        object.__setattr__(self, "_augmented", augmented)
+        object.__setattr__(self, "elements", tuple(self.stack()))
 
     def stack(self) -> np.ndarray:
         """Elements as a read-only (m^2-1, m, m) array."""
-        return self._stack
+        return self._augmented[1:].reshape(-1, self.dim, self.dim)
+
+    def augmented(self) -> np.ndarray:
+        """Read-only (m^2, m^2) matrix A' = [vec I; vec mu_1; ...; vec mu_k],
+        each row a row-major flattening, so conj(A') A'^T = diag(m, 1, ..., 1)."""
+        return self._augmented
 
 
 @lru_cache(maxsize=None)

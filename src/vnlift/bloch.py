@@ -1,5 +1,5 @@
-"""Bloch representation of bipartite states: local vectors R, S and the
-correlation matrix T, plus the block correlation matrix."""
+"""Bloch representation of bipartite states: the block correlation matrix
+C = [[1, S^T], [R, T]] of local vectors R, S and correlations T."""
 
 from __future__ import annotations
 
@@ -14,38 +14,48 @@ from .linalg import DEFAULT_TOL, ShapeError, Tolerance, _finite_matrix, _is_herm
 
 @dataclass(frozen=True)
 class BlochForm:
-    """Local vectors R, S and correlations T of a state on an m (x) n system.
+    """Block correlation matrix C = [[1, S^T], [R, T]] of a state on an
+    m (x) n system, with R, S and T read as views of it.
 
-    The block correlation matrix and the singular values of it and of its
-    screened blocks are computed once, on first use, and every screen reads
-    them. They assume R, S and T are not written to afterwards;
-    ``decompose`` returns them read-only.
+    Construction checks that the bases have dimensions (m, n) and that C is
+    a real, finite m^2 x n^2 matrix, and keeps one read-only float64 copy of
+    it, so every screen reads a checked C. Its singular values and those of
+    its screened blocks are computed once, on first use.
     """
 
     m: int
     n: int
-    R: np.ndarray
-    S: np.ndarray
-    T: np.ndarray
+    correlation: np.ndarray
     basis_a: HermitianBasis
     basis_b: HermitianBasis
 
-    @cached_property
-    def correlation(self) -> np.ndarray:
-        """Read-only block matrix [[1, S^T], [R, T]] of shape m^2 x n^2."""
+    def __post_init__(self):
         m, n = self.m, self.n
-        r, s, t = np.asarray(self.R), np.asarray(self.S), np.asarray(self.T)
-        if r.shape != (m * m - 1,) or s.shape != (n * n - 1,):
-            raise ShapeError("local vector length inconsistent with dimensions")
-        if t.shape != (m * m - 1, n * n - 1):
-            raise ShapeError("correlation matrix shape inconsistent with dimensions")
-        c = np.empty((m * m, n * n), dtype=np.result_type(1.0, r, s, t))
-        c[0, 0] = 1.0
-        c[0, 1:] = s
-        c[1:, 0] = r
-        c[1:, 1:] = t
+        if (self.basis_a.dim, self.basis_b.dim) != (m, n):
+            raise ShapeError(
+                f"bases have dims {(self.basis_a.dim, self.basis_b.dim)}, expected {(m, n)}")
+        if np.iscomplexobj(self.correlation):
+            raise ShapeError("correlation matrix must be real, got a complex array")
+        c = _finite_matrix(np.array(self.correlation, dtype=float))
+        if c.shape != (m * m, n * n):
+            raise ShapeError(f"correlation matrix must be {m * m}x{n * n}, got {c.shape}")
         c.flags.writeable = False
-        return c
+        object.__setattr__(self, "correlation", c)
+
+    @property
+    def R(self) -> np.ndarray:
+        """Local vector of the first system: C[1:, 0]."""
+        return self.correlation[1:, 0]
+
+    @property
+    def S(self) -> np.ndarray:
+        """Local vector of the second system: C[0, 1:]."""
+        return self.correlation[0, 1:]
+
+    @property
+    def T(self) -> np.ndarray:
+        """Correlation matrix: C[1:, 1:]."""
+        return self.correlation[1:, 1:]
 
     @cached_property
     def screen_spectra(self) -> np.ndarray:
@@ -59,10 +69,8 @@ class BlochForm:
         has fewer singular values than C. The zero lies far below any rank
         cutoff, so it never counts.
         """
-        c = _finite_matrix(self.correlation)
-        # The dtype singular_values uses, so that row 2 matches it bit for bit.
-        stack = np.empty((3, *c.shape), dtype=complex if np.iscomplexobj(c) else float)
-        stack[:] = c
+        stack = np.empty((3, *self.correlation.shape))
+        stack[:] = self.correlation
         stack[0, 0, :] = 0.0
         stack[1, :, 0] = 0.0
         s = np.linalg.svd(stack, compute_uv=False)
@@ -75,27 +83,22 @@ class BlochForm:
         return self.screen_spectra[2]
 
 
-def _flat(basis: HermitianBasis) -> np.ndarray:
-    """Basis stack as a (k, m^2) matrix: row i is mu_i[c, a] at column c*m + a."""
-    return basis.stack().reshape(basis.dim**2 - 1, basis.dim**2)
-
-
 def decompose(
     rho,
     basis_a: HermitianBasis,
     basis_b: HermitianBasis,
     tol: Tolerance = DEFAULT_TOL,
 ) -> BlochForm:
-    """Extract (R, S, T) from a density matrix on an m (x) n system.
+    """Bloch form of a density matrix on an m (x) n system.
 
     The coefficients are r_i = m Tr(rho (mu_i (x) I)), s_j = n Tr(rho (I (x) nu_j)),
     t_ij = mn Tr(rho (mu_i (x) nu_j)); any imaginary residue above eq_abs is an
     error rather than silently truncated.
 
-    With the bases flattened to A (row i = mu_i) and B, and rho permuted to
-    X[(c, a), (d, b)] = rho[(a, b), (c, d)], these are matrix products:
-    T = mn A X B^T, R = m A x_I with x_I the sum of X's columns (d, d), and
-    S = n times the sum of the rows (c, c) of X B^T.
+    With rho permuted to X[(c, a), (d, b)] = rho[(a, b), (c, d)] and the
+    augmented bases A' and B' (``HermitianBasis.augmented``), these are one
+    product chain: C = D_m A' X B'^T D_n with D_k = diag(1, k, ..., k). Its
+    (0, 0) entry is Tr rho, which C holds as 1.
     """
     rho = as_matrix(rho)
     m, n = basis_a.dim, basis_b.dim
@@ -104,19 +107,16 @@ def decompose(
     if not _is_hermitian(rho, tol):
         raise ValueError("state is not Hermitian within tolerance")
     x = rho.reshape(m, n, m, n).transpose(2, 0, 3, 1).reshape(m * m, n * n)
-    a = _flat(basis_a)
-    xb = x @ _flat(basis_b).T
-    r = m * (a @ x[:, :: n + 1].sum(1))
-    s = n * xb[:: m + 1].sum(0)
-    t = m * n * (a @ xb)
-    for name, arr in (("R", r), ("S", s), ("T", t)):
-        residue = float(np.abs(arr.imag).max(initial=0.0))
+    c = basis_a.augmented() @ (x @ basis_b.augmented().T)
+    c[1:] *= m
+    c[:, 1:] *= n
+    c[0, 0] = 1.0
+    im = c.imag
+    for name, block in (("R", im[1:, 0]), ("S", im[0, 1:]), ("T", im[1:, 1:])):
+        residue = float(np.abs(block).max(initial=0.0))
         if residue > tol.eq_abs:
             raise ValueError(f"{name} has imaginary residue {residue:.3e}")
-    r, s, t = r.real, s.real, t.real
-    for arr in (r, s, t):
-        arr.flags.writeable = False
-    return BlochForm(m=m, n=n, R=r, S=s, T=t, basis_a=basis_a, basis_b=basis_b)
+    return BlochForm(m=m, n=n, correlation=c.real, basis_a=basis_a, basis_b=basis_b)
 
 
 def reconstruct(bf: BlochForm) -> np.ndarray:
@@ -124,12 +124,10 @@ def reconstruct(bf: BlochForm) -> np.ndarray:
 
     Always Hermitian with unit trace; positivity is not guaranteed.
 
-    The inverse of decompose on the same layout: with A' = [vec I; conj(A)]
-    and B' likewise, X = A'^T [[1, S^T], [R, T]] B' / mn, because the
-    orthonormal rows of A satisfy conj(A) A^T = I.
+    The inverse of decompose on the same layout: X = conj(A')^T C conj(B') / mn,
+    because conj(A') A'^T = diag(m, 1, ..., 1).
     """
     m, n = bf.m, bf.n
-    a = np.vstack((np.eye(m).ravel(), _flat(bf.basis_a).conj()))
-    b = np.vstack((np.eye(n).ravel(), _flat(bf.basis_b).conj()))
+    a, b = bf.basis_a.augmented().conj(), bf.basis_b.augmented().conj()
     x = a.T @ bf.correlation @ b / (m * n)
     return x.reshape(m, m, n, n).transpose(1, 3, 0, 2).reshape(m * n, m * n)

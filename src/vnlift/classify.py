@@ -12,8 +12,7 @@ import numpy as np
 
 from .basis import gell_mann_basis
 from .bloch import BlochForm, decompose
-from .linalg import (DEFAULT_TOL, InvalidStateError, ShapeError, Tolerance, rank_of_spectrum,
-                     validate_density)
+from .linalg import DEFAULT_TOL, InvalidStateError, Tolerance, rank_of_spectrum, validate_density
 
 
 @dataclass(frozen=True)
@@ -31,26 +30,20 @@ def _verdict(evidence: np.ndarray, threshold: int, rank: int) -> Verdict:
 
 # Every evidence matrix is a block of C = bf.correlation = [[1, S^T], [R, T]],
 # and every rank is counted on a row of bf.screen_spectra, which one batched
-# SVD fills on first use.
-
-
-def _block_verdict(evidence: np.ndarray, threshold: int, spectrum: np.ndarray,
-                   tol: Tolerance) -> Verdict:
-    """Verdict on a one-sided block from its row of ``screen_spectra``. The
-    row of an empty block would read rank 0, but an empty matrix has no rank."""
-    if evidence.size == 0:
-        raise ShapeError("rank of an empty matrix is undefined")
-    return _verdict(evidence, threshold, rank_of_spectrum(spectrum, tol))
+# SVD fills on first use. A BlochForm checked C when it was built, and its
+# bases have dimension at least 2, so neither block is empty.
 
 
 def check_classical_quantum(bf: BlochForm, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Classical-quantum states have rank(R|T) at most m-1."""
-    return _block_verdict(bf.correlation[1:, :], bf.m - 1, bf.screen_spectra[0], tol)
+    rank = rank_of_spectrum(bf.screen_spectra[0], tol)
+    return _verdict(bf.correlation[1:, :], bf.m - 1, rank)
 
 
 def check_quantum_classical(bf: BlochForm, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Quantum-classical states have rank(S|T^T) at most n-1."""
-    return _block_verdict(bf.correlation[:, 1:].T, bf.n - 1, bf.screen_spectra[1], tol)
+    rank = rank_of_spectrum(bf.screen_spectra[1], tol)
+    return _verdict(bf.correlation[:, 1:].T, bf.n - 1, rank)
 
 
 def check_classical_classical(bf: BlochForm, tol: Tolerance = DEFAULT_TOL) -> Verdict:

@@ -52,22 +52,22 @@ def _load_object(path: str, keys) -> dict:
     return doc
 
 
-def _dimension(doc: dict, key: str) -> int:
-    value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key!r} must be a JSON integer, got {json.dumps(value)}")
+def _dimension(value, name: str) -> int:
+    """``value`` if it is a positive integer (a JSON true or false is not)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {json.dumps(value)}")
     return value
 
 
 def load_state(path: str):
     doc = _load_object(path, ("m", "n", "rho"))
-    m, n = _dimension(doc, "m"), _dimension(doc, "n")
+    m, n = _dimension(doc["m"], "'m'"), _dimension(doc["n"], "'n'")
     return m, n, pairs_to_matrix(doc["rho"], m * n, m * n)
 
 
 def load_unitary(path: str, dim: int | None = None) -> np.ndarray:
     doc = _load_object(path, ("m", "u") if dim is None else ("u",))
-    m = _dimension(doc, "m") if dim is None else dim
+    m = _dimension(doc["m"], "'m'") if dim is None else _dimension(dim, "--dim")
     return pairs_to_matrix(doc["u"], m, m)
 
 

@@ -91,13 +91,6 @@ def numerical_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
     return rank_of_spectrum(singular_values(a), tol)
 
 
-def is_hermitian(a, tol: Tolerance = DEFAULT_TOL) -> bool:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"Hermiticity needs a square matrix, got {a.shape}")
-    return _is_hermitian(a, tol)
-
-
 def _is_hermitian(a: np.ndarray, tol: Tolerance) -> bool:
     """Hermiticity of a square matrix that ``as_matrix`` already returned."""
     return bool(np.abs(a - a.conj().T).max(initial=0.0) <= tol.eq_abs)

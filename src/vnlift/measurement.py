@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import HermitianBasis, gell_mann_basis
-from .linalg import DEFAULT_TOL, ShapeError, Tolerance, as_matrix, check_unitary, frobenius
+from .linalg import DEFAULT_TOL, ShapeError, Tolerance, check_unitary, frobenius
 
 # Structural bounds a lifted measurement must meet: ||M^2 - M||_F, and the
 # deviation that consistency_check reports.
@@ -39,7 +39,6 @@ class LiftedMeasurement:
 
     dim: int
     matrix: np.ndarray
-    basis_labels: tuple
 
     @property
     def idempotency_defect(self) -> float:
@@ -58,16 +57,6 @@ def _coefficients(u: np.ndarray, elements: np.ndarray) -> np.ndarray:
     return rows @ elements.reshape(len(elements), -1).T
 
 
-def apply(meas: VonNeumannMeasurement, x) -> np.ndarray:
-    """sum_s <phi_s|x|phi_s> |phi_s><phi_s|."""
-    x = as_matrix(x)
-    m = meas.dim
-    if x.shape != (m, m):
-        raise ShapeError(f"operator must be {m}x{m}, got {x.shape}")
-    d = _coefficients(meas.unitary, x[np.newaxis])[:, 0]
-    return np.einsum("s,sab->ab", d, meas.projectors())
-
-
 def lift_matrix(
     meas: VonNeumannMeasurement, b: HermitianBasis, tol: Tolerance = DEFAULT_TOL
 ) -> LiftedMeasurement:
@@ -83,7 +72,7 @@ def lift_matrix(
     imag = float(np.max(np.abs(d.imag)))
     if imag > tol.eq_abs:
         raise ValueError(f"lifted matrix has imaginary residue {imag:.3e}")
-    return LiftedMeasurement(dim=meas.dim, matrix=d.real.T @ d.real, basis_labels=b.labels)
+    return LiftedMeasurement(dim=meas.dim, matrix=d.real.T @ d.real)
 
 
 def _checked_unitary(a, tol: Tolerance) -> np.ndarray:

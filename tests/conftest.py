@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from vnlift import BlochForm
+
 settings.register_profile("ci", deadline=None, max_examples=25)
 settings.load_profile("ci")
 
@@ -27,6 +29,14 @@ def bell_diagonal_state(t1: float, t2: float, t3: float) -> np.ndarray:
     for t, s in zip((t1, t2, t3), (SIGMA[1], SIGMA[2], SIGMA[3])):
         out += t * np.kron(s, s)
     return out / 4.0
+
+
+def bloch_form(r, s, t, basis_a, basis_b) -> BlochForm:
+    """Bloch form whose C = [[1, S^T], [R, T]] is assembled from R, S and T."""
+    r, s, t = (np.asarray(x, dtype=float) for x in (r, s, t))
+    c = np.block([[np.ones((1, 1)), s[np.newaxis]], [r[:, np.newaxis], t]])
+    return BlochForm(m=basis_a.dim, n=basis_b.dim, correlation=c, basis_a=basis_a,
+                     basis_b=basis_b)
 
 
 @pytest.fixture

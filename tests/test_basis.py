@@ -100,6 +100,24 @@ def test_basis_arrays_are_read_only():
     assert b.elements[0][0, 0] == pytest.approx(1 / S2)
 
 
+@pytest.mark.parametrize("make_basis", [gell_mann_basis, pauli_gell_mann_basis])
+@pytest.mark.parametrize("m", [2, 3, 4, 8])
+def test_augmented_matrix(make_basis, m):
+    # A' = [vec I; vec mu_1; ...]: the bases' one stored array, which decompose
+    # and reconstruct read.
+    b = make_basis(m)
+    a = b.augmented()
+    assert a.shape == (m * m, m * m) and not a.flags.writeable
+    assert np.array_equal(a[0], np.eye(m).ravel())
+    assert np.array_equal(a[1:], b.stack().reshape(m * m - 1, m * m))
+    assert np.shares_memory(b.stack(), a) and np.shares_memory(b.elements[-1], a)
+    gram = np.eye(m * m)
+    gram[0, 0] = m
+    assert np.max(np.abs(a.conj() @ a.T - gram)) <= 1e-12
+    with pytest.raises(ValueError, match="read-only"):
+        a[0, 0] = 5.0
+
+
 def _replace_first(b, element):
     return (element,) + b.elements[1:]
 

@@ -3,6 +3,7 @@ import pytest
 
 from vnlift import (
     BlochForm,
+    ShapeError,
     decompose,
     gell_mann_basis,
     numerical_rank,
@@ -11,7 +12,7 @@ from vnlift import (
     reconstruct,
     validate_density,
 )
-from tests.conftest import bell_diagonal_state, rho_zero
+from tests.conftest import bell_diagonal_state, bloch_form, rho_zero
 
 B2 = gell_mann_basis(2)
 P2 = pauli_gell_mann_basis(2)
@@ -61,20 +62,14 @@ def test_round_trip_random_state(m, n):
 
 
 def test_reconstruct_zero_components_is_maximally_mixed():
-    bf = BlochForm(m=2, n=2, R=np.zeros(3), S=np.zeros(3), T=np.zeros((3, 3)),
-                   basis_a=B2, basis_b=B2)
+    bf = bloch_form(np.zeros(3), np.zeros(3), np.zeros((3, 3)), B2, B2)
     assert np.allclose(reconstruct(bf), np.eye(4) / 4.0)
 
 
 def test_reconstruct_rho_zero_coefficients_is_valid_density():
     x = 2.0
-    bf = BlochForm(
-        m=2, n=2,
-        R=np.array([0.0, 0.0, np.sqrt(2) / x]),
-        S=np.array([0.0, 0.0, np.sqrt(2) / x]),
-        T=np.diag([2 / x**2, 0.0, 2 / x**2]),
-        basis_a=P2, basis_b=P2,
-    )
+    local = np.array([0.0, 0.0, np.sqrt(2) / x])
+    bf = bloch_form(local, local, np.diag([2 / x**2, 0.0, 2 / x**2]), P2, P2)
     rho = reconstruct(bf)
     assert validate_density(rho).ok
     assert np.max(np.abs(rho - rho_zero(x))) <= 1e-12
@@ -129,3 +124,36 @@ def test_correlation_matrix_maximally_mixed():
     cm = bf.correlation
     assert cm[0, 0] == 1.0
     assert numerical_rank(cm) == 1
+
+
+def test_bloch_form_keeps_one_read_only_copy():
+    c = np.array([[1.0, 0, 0, 2], [0, 3, 0, 0], [0, 0, 0, 0], [4, 0, 0, 5]])
+    bf = BlochForm(m=2, n=2, correlation=c, basis_a=B2, basis_b=B2)
+    c[1, 1] = 9.0
+    assert bf.correlation[1, 1] == 3.0
+    ints = BlochForm(m=2, n=2, correlation=c.astype(int), basis_a=B2, basis_b=B2)
+    assert ints.correlation.dtype == np.float64
+    assert np.array_equal(bf.R, [0, 0, 4]) and np.array_equal(bf.S, [0, 0, 2])
+    assert np.array_equal(bf.T, np.diag([3, 0, 5]))
+    for view in (bf.R, bf.S, bf.T):
+        assert np.shares_memory(view, bf.correlation)
+    for arr in (bf.correlation, bf.R, bf.S, bf.T):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "c,match",
+    [
+        (np.eye(4, 3), "must be 4x4"),
+        (np.eye(9), "must be 4x4"),
+        (np.ones(16), "2-D"),
+        (np.ones((1, 4, 4)), "2-D"),
+        (np.eye(4, dtype=complex), "real"),
+    ],
+    ids=["4x3", "9x9", "1d", "3d", "complex"],
+)
+def test_bloch_form_rejects_a_malformed_correlation(c, match):
+    # A complex C is refused even with zero imaginary part, rather than cast.
+    with pytest.raises(ShapeError, match=match):
+        BlochForm(m=2, n=2, correlation=c, basis_a=B2, basis_b=B2)

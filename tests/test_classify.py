@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from vnlift import (
+    BasisError,
     BellDiagonalSpec,
     BlochForm,
+    HermitianBasis,
     InvalidStateError,
     ShapeError,
     check_classical_classical,
@@ -25,7 +27,7 @@ from vnlift import (
 )
 from vnlift import classify
 from vnlift.linalg import singular_values
-from tests.conftest import bell_diagonal_state, rho_zero
+from tests.conftest import bell_diagonal_state, bloch_form, rho_zero
 
 B2 = gell_mann_basis(2)
 P2 = pauli_gell_mann_basis(2)
@@ -185,7 +187,7 @@ def test_rho2_family(t, ruled_out):
     m = {3: 2, 8: 3}[len(t)]
     b = gell_mann_basis(m)
     zero = np.zeros(m * m - 1)
-    bf = BlochForm(m=m, n=m, R=zero, S=zero, T=np.diag(t), basis_a=b, basis_b=b)
+    bf = bloch_form(zero, zero, np.diag(t), b, b)
     assert check_classical_quantum(bf).ruled_out == ruled_out
 
 
@@ -253,6 +255,31 @@ def test_screen_spectra_are_the_spectra_of_the_evidence(m, n):
             assert v.computed_rank == numerical_rank(v.evidence)
 
 
+def trace_correlation(rho, m, n):
+    """C[i, j] = mn Tr(rho (mu_i (x) nu_j)) with mu_0 = I/m and nu_0 = I/n, from
+    the basis elements by one einsum, independent of decompose's product chain."""
+    mu = np.concatenate((np.eye(m)[np.newaxis] / m, gell_mann_basis(m).stack()))
+    nu = np.concatenate((np.eye(n)[np.newaxis] / n, gell_mann_basis(n).stack()))
+    c = m * n * np.einsum("abcd,ica,jdb->ij", rho.reshape(m, n, m, n), mu, nu)
+    assert np.max(np.abs(c.imag)) <= 1e-12
+    return c.real
+
+
+@pytest.mark.parametrize(
+    "m,n",
+    [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4), (6, 6), (8, 4), (8, 8), (2, 8)],
+)
+def test_verdicts_match_the_trace_definition(m, n):
+    # Each rank counted by its own SVD of a block of the reference C.
+    for rho in corpus(m, n, range(3)):
+        c = trace_correlation(rho, m, n)
+        assert np.max(np.abs(bloch(rho, m, n).correlation - c)) <= 1e-12
+        expected = [(numerical_rank(c[1:, :]), m - 1), (numerical_rank(c[:, 1:]), n - 1),
+                    (numerical_rank(c), min(m, n)), (numerical_rank(c), m)]
+        got = [(v.computed_rank, v.threshold) for v in classify_state(rho, m, n).values()]
+        assert got == expected
+
+
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (3, 2), (4, 2), (4, 3), (8, 4)])
 def test_classify_state_matches_the_screens_in_order(m, n):
     assert list(classify.SCREENS) == [
@@ -279,39 +306,37 @@ def test_hand_built_bloch_form_runs_every_screen():
     # R = S = 0 and T = diag(0.3, 0.4, 0): C = diag(1, 0.3, 0.4, 0) has rank 3.
     b = gell_mann_basis(2)
     zero = np.zeros(3)
-    bf = BlochForm(m=2, n=2, R=zero, S=zero, T=np.diag([0.3, 0.4, 0.0]), basis_a=b, basis_b=b)
+    bf = bloch_form(zero, zero, np.diag([0.3, 0.4, 0.0]), b, b)
     ranks = [screen(bf).computed_rank for screen in SCREENS]
     assert ranks == [2, 2, 3, 3]
     assert [screen(bf).ruled_out for screen in SCREENS] == [True, True, True, True]
     assert np.array_equal(bf.correlation, np.diag([1.0, 0.3, 0.4, 0.0]))
-    bad = BlochForm(m=3, n=2, R=zero, S=zero, T=np.zeros((3, 3)), basis_a=b, basis_b=b)
-    with pytest.raises(ValueError, match="inconsistent with dimensions"):
-        check_classical_quantum(bad)
+    # A form whose bases do not match its dimensions is refused when it is built.
+    with pytest.raises(ShapeError, match=r"bases have dims \(2, 2\), expected \(3, 2\)"):
+        BlochForm(m=3, n=2, correlation=np.zeros((9, 4)), basis_a=b, basis_b=b)
 
 
 def test_one_sided_screens_refuse_an_empty_block():
-    # At m = 1, (R|T) has no rows; at n = 1, (S|T^T) has none. Their zero-padded
-    # spectra would read rank 0, but the rank of an empty matrix is undefined.
+    # At m = 1, (R|T) would have no rows; at n = 1, (S|T^T) none. No such form
+    # reaches a screen: a basis has dimension at least 2, and a form whose
+    # bases do not have dimensions (m, n) is refused when it is built.
     b = gell_mann_basis(2)
-    one_by_two = BlochForm(m=1, n=2, R=np.zeros(0), S=np.full(3, 0.2), T=np.zeros((0, 3)),
-                           basis_a=b, basis_b=b)
-    with pytest.raises(ShapeError, match="empty matrix"):
-        check_classical_quantum(one_by_two)
-    assert check_quantum_classical(one_by_two).computed_rank == 1
-    two_by_one = BlochForm(m=2, n=1, R=np.full(3, 0.2), S=np.zeros(0), T=np.zeros((3, 0)),
-                           basis_a=b, basis_b=b)
-    with pytest.raises(ShapeError, match="empty matrix"):
-        check_quantum_classical(two_by_one)
-    assert check_classical_quantum(two_by_one).computed_rank == 1
+    with pytest.raises(ShapeError, match="expected"):
+        BlochForm(m=1, n=2, correlation=np.zeros((1, 4)), basis_a=b, basis_b=b)
+    with pytest.raises(ShapeError, match="expected"):
+        BlochForm(m=2, n=1, correlation=np.zeros((4, 1)), basis_a=b, basis_b=b)
+    with pytest.raises(BasisError):
+        HermitianBasis(dim=1, elements=(), labels=())
+    with pytest.raises(ValueError, match="dimension >= 2"):
+        gell_mann_basis(1)
 
 
 def test_screens_refuse_non_finite_correlations():
+    # The form is refused when it is built, so no screen sees a NaN or Inf.
     b = gell_mann_basis(2)
-    t = np.diag([0.3, np.nan, 0.0])
-    bf = BlochForm(m=2, n=2, R=np.zeros(3), S=np.zeros(3), T=t, basis_a=b, basis_b=b)
-    for screen in SCREENS:
+    for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="NaN or Inf"):
-            screen(bf)
+            bloch_form(np.zeros(3), np.zeros(3), np.diag([0.3, bad, 0.0]), b, b)
 
 
 @pytest.mark.parametrize(

@@ -92,9 +92,12 @@ def test_golden_reports_round_trip():
     assert goldens
     for golden in goldens:
         state = os.path.join(FIXDIR, os.path.basename(golden).replace(".report", ""))
-        _, out = run_cli("classify", state, "--json")
         with open(golden) as fh:
-            assert out == fh.read()
+            expected = fh.read()
+        # Every golden state is valid, so skipping validation changes no byte.
+        for options in ((), ("--no-validate",)):
+            _, out = run_cli("classify", state, "--json", *options)
+            assert out == expected
 
 
 def test_bell_subcommand():
@@ -172,14 +175,20 @@ MAXIMALLY_MIXED_PAIRS = matrix_to_pairs(np.eye(4) / 4.0)
         ("classify", {"m": 2.5, "n": 2, "rho": MAXIMALLY_MIXED_PAIRS}, "'m'"),
         ("classify", {"m": 2, "n": True, "rho": MAXIMALLY_MIXED_PAIRS}, "'n'"),
         ("classify", {"m": 2, "n": 2, "rho": [{}] * 16}, "pairs"),
+        ("classify", {"m": -1, "n": 2, "rho": MAXIMALLY_MIXED_PAIRS}, "'m'"),
+        ("classify", {"m": 0, "n": 2, "rho": []}, "'m'"),
+        ("classify", {"m": 2, "n": -2, "rho": MAXIMALLY_MIXED_PAIRS}, "'n'"),
         ("lift", [1, 2], "JSON object"),
+        ("lift --dim -1", {"u": matrix_to_pairs(np.eye(2))}, "--dim"),
+        ("lift --dim 0", {"u": []}, "--dim"),
     ],
-    ids=["state_array", "m_null", "m_float", "n_bool", "rho_objects", "lift_array"],
+    ids=["state_array", "m_null", "m_float", "n_bool", "rho_objects", "m_negative", "m_zero",
+         "n_negative", "lift_array", "dim_negative", "dim_zero"],
 )
 def test_malformed_document_exits_2(tmp_path, capsys, command, doc, named):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    status, _ = run_cli(command, str(path))
+    status, _ = run_cli(*command.split(), str(path))
     assert status == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err

@@ -9,11 +9,11 @@ from vnlift import (
     Tolerance,
     UnitarityError,
     check_unitary,
-    is_hermitian,
     numerical_rank,
     random_unitary,
     validate_density,
 )
+from vnlift.linalg import _is_hermitian
 from tests.conftest import SIGMA, rho_zero
 
 TOL = Tolerance()
@@ -50,20 +50,21 @@ def test_rank_unitary_invariance():
 
 
 def test_is_hermitian_examples():
-    assert is_hermitian(SIGMA[2])
-    assert not is_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
+    assert _is_hermitian(SIGMA[2], TOL)
+    assert not _is_hermitian(np.array([[0, 1], [0, 0]], dtype=complex), TOL)
 
 
 @given(st.integers(0, 2**32 - 1))
 def test_is_hermitian_by_construction(seed):
     rng = np.random.default_rng(seed)
     b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    assert is_hermitian(b + b.conj().T)
+    assert _is_hermitian(b + b.conj().T, TOL)
+    assert validate_density(b + b.conj().T).hermitian
 
 
 def test_is_hermitian_requires_square():
     with pytest.raises(ShapeError):
-        is_hermitian(np.zeros((2, 3)))
+        validate_density(np.zeros((2, 3)))
 
 
 def test_check_unitary_returns_complex_matrix():
@@ -172,7 +173,7 @@ def test_symmetrized_is_the_hermitian_part_bit_for_bit(d):
     for a in (rho, rho + rho.conj().T, random_unitary(d, d)):
         report = validate_density(a)
         assert np.array_equal(report.symmetrized, (a + a.conj().T) / 2)
-        assert report.hermitian == is_hermitian(a)
+        assert report.hermitian == _is_hermitian(a, TOL)
 
 
 def test_tolerance_validation():

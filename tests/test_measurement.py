@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from vnlift import (
     BasisError,
     HermitianBasis,
     ShapeError,
     UnitarityError,
-    apply,
     build_C,
     build_C0,
     consistency_check,
@@ -19,7 +17,6 @@ from vnlift import (
     random_unitary,
 )
 from vnlift import measurement
-from tests.conftest import SIGMA
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -72,46 +69,10 @@ def test_from_unitary_rejects_non_unitary():
         from_unitary(np.array([[1, 1], [0, 1]], dtype=complex))
 
 
-def test_apply_fixes_diagonal():
-    meas = from_unitary(np.eye(3))
-    d = np.diag([0.2, 0.5, 0.3]).astype(complex)
-    assert np.allclose(apply(meas, d), d)
-
-
-def test_apply_kills_off_diagonal():
-    meas = from_unitary(np.eye(2))
-    assert np.allclose(apply(meas, SIGMA[1]), np.zeros((2, 2)))
-
-
 def test_hadamard_measurement_annihilates_sigma3():
-    meas = from_unitary(HADAMARD)
-    assert np.max(np.abs(apply(meas, SIGMA[3]))) <= 1e-12
-
-
-@pytest.mark.parametrize("m", [3, 6])
-def test_apply_non_hermitian_matches_definition(m):
-    # D of a non-Hermitian x is complex; its imaginary part must survive.
-    rng = np.random.default_rng(40 + m)
-    meas = from_unitary(random_unitary(m, 500 + m))
-    x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    expected = sum(p @ x @ p for p in meas.projectors())
-    assert np.max(np.abs(apply(meas, x) - expected)) <= 1e-12
-
-
-def test_apply_rejects_wrong_shape():
-    with pytest.raises(ShapeError):
-        apply(from_unitary(np.eye(2)), np.eye(3))
-
-
-@given(st.integers(0, 2**32 - 1))
-def test_apply_idempotent_and_trace_preserving(seed):
-    rng = np.random.default_rng(seed)
-    meas = from_unitary(random_unitary(3, seed))
-    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    h = g + g.conj().T
-    once = apply(meas, h)
-    assert np.allclose(apply(meas, once), once, atol=1e-12)
-    assert abs(np.trace(once) - np.trace(h)) <= 1e-12
+    # In the basis (sigma_1, sigma_2, sigma_3)/sqrt(2) the lift maps sigma_3 to zero.
+    lifted = lift_matrix(from_unitary(HADAMARD), pauli_gell_mann_basis(2))
+    assert np.max(np.abs(lifted.matrix[:, 2])) <= 1e-12
 
 
 def test_lift_m2_computational_pauli_order():

@@ -18,7 +18,6 @@ PUBLIC_API = {
     "UnitarityError",
     "Verdict",
     "VonNeumannMeasurement",
-    "apply",
     "build_C",
     "build_C0",
     "check_classical_classical",
@@ -33,7 +32,6 @@ PUBLIC_API = {
     "from_unitary",
     "gell_mann_basis",
     "invariance_search",
-    "is_hermitian",
     "lift_matrix",
     "numerical_rank",
     "partial_trace",
