@@ -12,7 +12,7 @@ from .linalg import BasisError, DEFAULT_TOL
 _SQRT2 = np.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianBasis:
     """Ordered orthonormal basis of the m x m traceless Hermitian matrices.
 
@@ -26,7 +26,7 @@ class HermitianBasis:
     dim: int
     elements: tuple
     labels: tuple
-    _augmented: np.ndarray = field(init=False, repr=False, compare=False)
+    _augmented: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         m, k = self.dim, self.dim**2 - 1

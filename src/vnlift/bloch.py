@@ -9,10 +9,10 @@ from functools import cached_property
 import numpy as np
 
 from .basis import HermitianBasis
-from .linalg import DEFAULT_TOL, ShapeError, Tolerance, _finite_matrix, _is_hermitian, as_matrix
+from .linalg import DEFAULT_TOL, ShapeError, Tolerance, _finite_matrix, _is_hermitian, as_state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochForm:
     """Block correlation matrix C = [[1, S^T], [R, T]] of a state on an
     m (x) n system, with R, S and T read as views of it.
@@ -92,18 +92,19 @@ def decompose(
     """Bloch form of a density matrix on an m (x) n system.
 
     The coefficients are r_i = m Tr(rho (mu_i (x) I)), s_j = n Tr(rho (I (x) nu_j)),
-    t_ij = mn Tr(rho (mu_i (x) nu_j)); any imaginary residue above eq_abs is an
-    error rather than silently truncated.
+    t_ij = mn Tr(rho (mu_i (x) nu_j)). rho must be Hermitian within eq_abs
+    entrywise, the criterion ``validate_density`` applies too. The basis
+    elements are Hermitian, so the anti-Hermitian part of rho adds only
+    imaginary parts to the coefficients: C is their real part, the Bloch form
+    of (rho + rho^dag) / 2.
 
     With rho permuted to X[(c, a), (d, b)] = rho[(a, b), (c, d)] and the
     augmented bases A' and B' (``HermitianBasis.augmented``), these are one
     product chain: C = D_m A' X B'^T D_n with D_k = diag(1, k, ..., k). Its
     (0, 0) entry is Tr rho, which C holds as 1.
     """
-    rho = as_matrix(rho)
     m, n = basis_a.dim, basis_b.dim
-    if rho.shape != (m * n, m * n):
-        raise ShapeError(f"state must be {m * n}x{m * n}, got {rho.shape}")
+    rho = as_state(rho, m, n)
     if not _is_hermitian(rho, tol):
         raise ValueError("state is not Hermitian within tolerance")
     x = rho.reshape(m, n, m, n).transpose(2, 0, 3, 1).reshape(m * m, n * n)
@@ -111,11 +112,6 @@ def decompose(
     c[1:] *= m
     c[:, 1:] *= n
     c[0, 0] = 1.0
-    im = c.imag
-    for name, block in (("R", im[1:, 0]), ("S", im[0, 1:]), ("T", im[1:, 1:])):
-        residue = float(np.abs(block).max(initial=0.0))
-        if residue > tol.eq_abs:
-            raise ValueError(f"{name} has imaginary residue {residue:.3e}")
     return BlochForm(m=m, n=n, correlation=c.real, basis_a=basis_a, basis_b=basis_b)
 
 

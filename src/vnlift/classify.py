@@ -15,7 +15,7 @@ from .bloch import BlochForm, decompose
 from .linalg import DEFAULT_TOL, InvalidStateError, Tolerance, rank_of_spectrum, validate_density
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Verdict:
     ruled_out: bool
     computed_rank: int
@@ -135,11 +135,7 @@ def classify_bell_diagonal(
             "correlations lie outside the Bell-diagonal state tetrahedron"
         )
     t = np.abs(spec.as_vector())
-    tmax = float(t.max())
-    if tmax <= tol.eq_abs:
-        nonzero = 0
-    else:
-        nonzero = int(np.count_nonzero(t > tol.rank_rel * tmax))
+    nonzero = rank_of_spectrum(np.sort(t)[::-1], tol)
     separable = float(t.sum()) <= 1.0 + tol.eq_abs
     return BellDiagonalVerdict(
         quantum_quantum=nonzero > 1,

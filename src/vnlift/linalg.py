@@ -53,6 +53,14 @@ def as_matrix(a) -> np.ndarray:
     return _finite_matrix(np.asarray(a, dtype=complex))
 
 
+def as_state(rho, m: int, n: int) -> np.ndarray:
+    """``as_matrix`` of a state on an m (x) n system, which must be mn x mn."""
+    rho = as_matrix(rho)
+    if rho.shape != (m * n, m * n):
+        raise ShapeError(f"state must be {m * n}x{m * n}, got {rho.shape}")
+    return rho
+
+
 def _finite_matrix(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")

@@ -16,7 +16,7 @@ MAX_IDEMPOTENCY_DEFECT = 1e-9
 MAX_CONSISTENCY_RESIDUAL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VonNeumannMeasurement:
     """Complete projective measurement on an m-dimensional system.
 
@@ -32,7 +32,7 @@ class VonNeumannMeasurement:
         return np.einsum("ia,ib->iab", self.unitary, self.unitary.conj())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LiftedMeasurement:
     """Real (m^2-1) x (m^2-1) matrix representing a measurement's action on
     an orthonormal traceless-Hermitian basis; idempotent with rank m-1."""

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ShapeError, Tolerance, as_matrix
+from .linalg import Tolerance, as_state
 from .measurement import VonNeumannMeasurement, from_unitary
 
 _DEGENERACY_GAP = 1e-6
@@ -112,15 +112,8 @@ def random_classical_quantum(m: int, n: int, seed: int) -> np.ndarray:
     return rho.reshape(m * n, m * n)
 
 
-def _as_state(rho, m: int, n: int) -> np.ndarray:
-    rho = as_matrix(rho)
-    if rho.shape != (m * n, m * n):
-        raise ShapeError(f"state must be {m * n}x{m * n}, got {rho.shape}")
-    return rho
-
-
 def swap_subsystems(rho, m: int, n: int) -> np.ndarray:
-    rho = _as_state(rho, m, n)
+    rho = as_state(rho, m, n)
     return rho.reshape(m, n, m, n).transpose(1, 0, 3, 2).reshape(m * n, m * n)
 
 
@@ -150,7 +143,7 @@ def random_classical_classical(m: int, n: int, seed: int) -> np.ndarray:
 
 
 def partial_trace(rho, m: int, n: int, keep: str) -> np.ndarray:
-    rho4 = _as_state(rho, m, n).reshape(m, n, m, n)
+    rho4 = as_state(rho, m, n).reshape(m, n, m, n)
     if keep == "a":
         return np.einsum("abcb->ac", rho4)
     if keep == "b":
@@ -158,7 +151,7 @@ def partial_trace(rho, m: int, n: int, keep: str) -> np.ndarray:
     raise ValueError(f"keep must be 'a' or 'b', got {keep!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InvarianceReport:
     best_residual: float
     best_measurement: VonNeumannMeasurement
@@ -236,7 +229,7 @@ def invariance_search(
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if m < 2 or n < 2:
         raise ValueError("both local dimensions must be at least 2")
-    rho = _as_state(rho, m, n)
+    rho = as_state(rho, m, n)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if side == "right":

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from vnlift import BlochForm
+from vnlift import DEFAULT_TOL, BlochForm
 
 settings.register_profile("ci", deadline=None, max_examples=25)
 settings.load_profile("ci")
@@ -29,6 +29,17 @@ def bell_diagonal_state(t1: float, t2: float, t3: float) -> np.ndarray:
     for t, s in zip((t1, t2, t3), (SIGMA[1], SIGMA[2], SIGMA[3])):
         out += t * np.kron(s, s)
     return out / 4.0
+
+
+def near_hermitian(rho: np.ndarray, seed: int, fraction: float = 0.9) -> np.ndarray:
+    """rho + iK for a seeded traceless Hermitian K, scaled so that
+    max|A - A^dag| = max|2K| is ``fraction`` times the default eq_abs."""
+    d = len(rho)
+    g = np.random.default_rng(seed).standard_normal((2, d, d))
+    k = g[0] + 1j * g[1]
+    k = k + k.conj().T
+    k -= np.trace(k).real / d * np.eye(d)
+    return rho + 1j * k * (fraction * DEFAULT_TOL.eq_abs / (2 * np.abs(k).max()))
 
 
 def bloch_form(r, s, t, basis_a, basis_b) -> BlochForm:

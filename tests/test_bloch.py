@@ -12,7 +12,7 @@ from vnlift import (
     reconstruct,
     validate_density,
 )
-from tests.conftest import bell_diagonal_state, bloch_form, rho_zero
+from tests.conftest import bell_diagonal_state, bloch_form, near_hermitian, rho_zero
 
 B2 = gell_mann_basis(2)
 P2 = pauli_gell_mann_basis(2)
@@ -98,8 +98,41 @@ def test_product_state_correlations_factorize():
 def test_decompose_rejects_non_hermitian():
     bad = np.eye(4, dtype=complex) / 4.0
     bad[0, 1] = 0.1
-    with pytest.raises(ValueError):
-        decompose(bad, B2, B2)
+    # Just past the entrywise eq_abs criterion that validate_density applies.
+    barely = near_hermitian(random_density(4, 7), 7, fraction=1.1)
+    for rho in (bad, barely):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            decompose(rho, B2, B2)
+
+
+def test_decompose_rejects_a_state_of_the_wrong_shape():
+    with pytest.raises(ShapeError, match="state must be 4x4, got"):
+        decompose(np.eye(3) / 3.0, B2, B2)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (4, 4), (8, 4)])
+def test_decompose_reads_the_hermitian_part(m, n):
+    # An anti-Hermitian part within eq_abs adds only imaginary coefficients,
+    # so C is the Bloch form of (rho + rho^dag) / 2.
+    ba, bb = gell_mann_basis(m), gell_mann_basis(n)
+    for seed in range(5):
+        rho = near_hermitian(random_density(m * n, seed), seed)
+        sym = (rho + rho.conj().T) / 2.0
+        diff = decompose(rho, ba, bb).correlation - decompose(sym, ba, bb).correlation
+        assert np.max(np.abs(diff)) <= 1e-15
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (8, 8)])
+def test_decompose_accepts_a_large_exactly_hermitian_matrix(m, n):
+    # Entries of order 1e7 leave imaginary round-off far above eq_abs in C;
+    # the state is Hermitian, so only the real part is read.
+    ba, bb = gell_mann_basis(m), gell_mann_basis(n)
+    for seed in range(5):
+        rho = random_density(m * n, seed)
+        big = (rho + rho.conj().T) / 2.0 * 1e7
+        c, ref = decompose(big, ba, bb).correlation, decompose(rho, ba, bb).correlation
+        assert c[0, 0] == 1.0
+        assert np.allclose(c.ravel()[1:], 1e7 * ref.ravel()[1:], rtol=1e-9, atol=1e-3)
 
 
 def test_correlation_matrix_rho_zero():

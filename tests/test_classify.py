@@ -27,7 +27,7 @@ from vnlift import (
 )
 from vnlift import classify
 from vnlift.linalg import singular_values
-from tests.conftest import bell_diagonal_state, bloch_form, rho_zero
+from tests.conftest import bell_diagonal_state, bloch_form, near_hermitian, rho_zero
 
 B2 = gell_mann_basis(2)
 P2 = pauli_gell_mann_basis(2)
@@ -300,6 +300,20 @@ def test_classify_state_validates_unless_told_not_to():
     with pytest.raises(InvalidStateError, match="psd=False"):
         classify_state(rho, 2, 2)
     assert list(classify_state(rho, 2, 2, validate=False)) == list(classify.SCREENS)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (4, 4), (8, 4)])
+def test_a_state_that_validates_is_classified_as_its_hermitian_part(m, n):
+    # One Hermiticity criterion: a state within eq_abs of Hermitian passes
+    # validation and decomposition alike, and gets the symmetrised state's verdicts.
+    for seed, rho in enumerate(corpus(m, n, range(2))):
+        near = near_hermitian(rho, seed)
+        report = validate_density(near)
+        assert report.ok
+        got, expected = classify_state(near, m, n), classify_state(report.symmetrized, m, n)
+        for v, w in zip(got.values(), expected.values()):
+            assert (v.ruled_out, v.computed_rank, v.threshold) == (
+                w.ruled_out, w.computed_rank, w.threshold)
 
 
 def test_hand_built_bloch_form_runs_every_screen():

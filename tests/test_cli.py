@@ -9,6 +9,7 @@ import pytest
 
 from vnlift import basis, gell_mann_basis, pauli_gell_mann_basis, random_density, sampler
 from vnlift.cli import main, matrix_to_pairs, pairs_to_matrix
+from tests.conftest import near_hermitian
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXDIR = os.path.join(ROOT, "fixtures")
@@ -137,6 +138,21 @@ def test_classify_invalid_density_exits_2(tmp_path, capsys):
     # The escape hatch admits deliberately invalid inputs.
     status, _ = run_cli("classify", str(path), "--no-validate")
     assert status == 0
+
+
+def test_classify_reads_a_near_hermitian_state_as_its_hermitian_part(tmp_path):
+    # Within eq_abs of Hermitian, so it validates; the report is that of the
+    # symmetrised state, written to a file of the same name.
+    near = near_hermitian(random_density(4, 11), 11)
+    outputs = []
+    for name, rho in (("near", near), ("sym", (near + near.conj().T) / 2.0)):
+        (tmp_path / name).mkdir()
+        path = tmp_path / name / "state.json"
+        path.write_text(json.dumps({"m": 2, "n": 2, "rho": matrix_to_pairs(rho)}))
+        status, out = run_cli("classify", str(path), "--json")
+        assert status == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_lift_non_unitary_exits_2(tmp_path):

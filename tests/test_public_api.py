@@ -1,4 +1,8 @@
+import dataclasses
 import types
+
+import numpy as np
+import pytest
 
 import vnlift
 
@@ -56,3 +60,26 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == PUBLIC_API
+
+
+B2 = vnlift.gell_mann_basis(2)
+RHO = vnlift.random_density(4, 0)
+
+# Every record that holds arrays, made by the library's own constructors.
+ARRAY_RECORDS = {
+    "BlochForm": lambda: vnlift.decompose(RHO, B2, B2),
+    "HermitianBasis": lambda: B2,
+    "Verdict": lambda: vnlift.classify_state(RHO, 2, 2)["classical_quantum"],
+    "VonNeumannMeasurement": lambda: vnlift.from_unitary(np.eye(2)),
+    "LiftedMeasurement": lambda: vnlift.lift_matrix(vnlift.from_unitary(np.eye(2)), B2),
+    "InvarianceReport": lambda: vnlift.invariance_search(RHO, 2, 2, trials=5),
+}
+
+
+@pytest.mark.parametrize("make", ARRAY_RECORDS.values(), ids=ARRAY_RECORDS)
+def test_array_records_compare_and_hash_by_identity(make):
+    # A field-wise == on arrays is ambiguous, so these records compare by identity.
+    x = make()
+    copy = dataclasses.replace(x)
+    assert x == x and copy is not x and copy != x
+    assert hash(x) == hash(x) and x in {x} and len({x, copy}) == 2
