@@ -1,5 +1,5 @@
-"""Bloch representation of bipartite states: the block correlation matrix
-C = [[1, S^T], [R, T]] of local vectors R, S and correlations T."""
+"""Bloch representation of bipartite operators: the block correlation matrix
+C = [[Tr rho, S^T], [R, T]] of local vectors R, S and correlations T."""
 
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ from .linalg import DEFAULT_TOL, ShapeError, Tolerance, _finite_matrix, _is_herm
 
 @dataclass(frozen=True, eq=False)
 class BlochForm:
-    """Block correlation matrix C = [[1, S^T], [R, T]] of a state on an
-    m (x) n system, with R, S and T read as views of it.
+    """Block correlation matrix C = [[Tr rho, S^T], [R, T]] of an operator on
+    an m (x) n system, with R, S and T read as views of it.
 
     Construction checks that the bases have dimensions (m, n) and that C is
     a real, finite m^2 x n^2 matrix, and keeps one read-only float64 copy of
@@ -89,7 +89,7 @@ def decompose(
     basis_b: HermitianBasis,
     tol: Tolerance = DEFAULT_TOL,
 ) -> BlochForm:
-    """Bloch form of a density matrix on an m (x) n system.
+    """Bloch form of a Hermitian matrix on an m (x) n system.
 
     The coefficients are r_i = m Tr(rho (mu_i (x) I)), s_j = n Tr(rho (I (x) nu_j)),
     t_ij = mn Tr(rho (mu_i (x) nu_j)). rho must be Hermitian within eq_abs
@@ -101,7 +101,7 @@ def decompose(
     With rho permuted to X[(c, a), (d, b)] = rho[(a, b), (c, d)] and the
     augmented bases A' and B' (``HermitianBasis.augmented``), these are one
     product chain: C = D_m A' X B'^T D_n with D_k = diag(1, k, ..., k). Its
-    (0, 0) entry is Tr rho, which C holds as 1.
+    (0, 0) entry is Tr rho, and C is linear in rho.
     """
     m, n = basis_a.dim, basis_b.dim
     rho = as_state(rho, m, n)
@@ -111,14 +111,13 @@ def decompose(
     c = basis_a.augmented() @ (x @ basis_b.augmented().T)
     c[1:] *= m
     c[:, 1:] *= n
-    c[0, 0] = 1.0
     return BlochForm(m=m, n=n, correlation=c.real, basis_a=basis_a, basis_b=basis_b)
 
 
 def reconstruct(bf: BlochForm) -> np.ndarray:
-    """rho = (1/mn)(I(x)I + sum r_i mu_i(x)I + sum s_j I(x)nu_j + sum t_ij mu_i(x)nu_j).
+    """rho = (1/mn)(c I(x)I + sum r_i mu_i(x)I + sum s_j I(x)nu_j + sum t_ij mu_i(x)nu_j).
 
-    Always Hermitian with unit trace; positivity is not guaranteed.
+    Always Hermitian with trace c = C[0, 0]; positivity is not guaranteed.
 
     The inverse of decompose on the same layout: X = conj(A')^T C conj(B') / mn,
     because conj(A') A'^T = diag(m, 1, ..., 1).

@@ -28,10 +28,11 @@ def _verdict(evidence: np.ndarray, threshold: int, rank: int) -> Verdict:
                    evidence=evidence)
 
 
-# Every evidence matrix is a block of C = bf.correlation = [[1, S^T], [R, T]],
-# and every rank is counted on a row of bf.screen_spectra, which one batched
-# SVD fills on first use. A BlochForm checked C when it was built, and its
-# bases have dimension at least 2, so neither block is empty.
+# Every evidence matrix is a block of C = bf.correlation = [[Tr rho, S^T], [R, T]],
+# which is linear in rho, so no rank depends on Tr rho (1 for a state). Every
+# rank is counted on a row of bf.screen_spectra, which one batched SVD fills on
+# first use. A BlochForm checked C when it was built, and its bases have
+# dimension at least 2, so neither block is empty.
 
 
 def check_classical_quantum(bf: BlochForm, tol: Tolerance = DEFAULT_TOL) -> Verdict:

@@ -99,7 +99,7 @@ def build_C0(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     k, l = np.nonzero(~np.eye(a.shape[0], dtype=bool))
     alpha = absq[:, :1] - absq[:, 1:]
     beta = a[:, k].conj() * a[:, l]
-    return np.concatenate([alpha, beta], axis=1).astype(complex)
+    return np.concatenate([alpha, beta], axis=1)
 
 
 def consistency_check(meas: VonNeumannMeasurement, b: HermitianBasis) -> float:

@@ -241,8 +241,7 @@ def invariance_search(
     # measurement unitary is the coefficient vector of |phi_i>. Every chunk
     # draws from one generator and every step is per trial, so trial t's
     # candidate and residual do not depend on the chunking or on `trials`.
-    # A one-chunk search takes its candidates from the shared read-only set;
-    # the concatenate copies them, so the report never aliases that set.
+    # A one-chunk search takes its candidates from the shared read-only set.
     rho4, chunk = rho.reshape(m, n, m, n), _CHUNK_TRIALS + 1
     rng = None if trials < chunk else _rng(seed, 2)
     best, best_residual, best_unit = 0, np.inf, None
@@ -260,10 +259,9 @@ def invariance_search(
             eigenbasis_residual = float(residuals[0])
         k = int(np.argmin(residuals))
         # Strictly smaller, so a tie keeps the earliest candidate, as one argmin
-        # would. A view, so the report holds the winning chunk: with a copy,
-        # glibc trimmed and re-faulted the heap on every search (~15% slower).
+        # would. A copy, so the report holds the winner and not its chunk.
         if residuals[k] < best_residual:
-            best, best_residual, best_unit = first + k, float(residuals[k]), units[k]
+            best, best_residual, best_unit = first + k, float(residuals[k]), units[k].copy()
         # Released before the next chunk is drawn.
         del units, residuals
     return InvarianceReport(

@@ -131,8 +131,33 @@ def test_decompose_accepts_a_large_exactly_hermitian_matrix(m, n):
         rho = random_density(m * n, seed)
         big = (rho + rho.conj().T) / 2.0 * 1e7
         c, ref = decompose(big, ba, bb).correlation, decompose(rho, ba, bb).correlation
-        assert c[0, 0] == 1.0
-        assert np.allclose(c.ravel()[1:], 1e7 * ref.ravel()[1:], rtol=1e-9, atol=1e-3)
+        assert np.allclose(c, 1e7 * ref, rtol=1e-9, atol=1e-3)
+
+
+def random_hermitian(d: int, seed: int, trace: float) -> np.ndarray:
+    """Seeded Hermitian d x d matrix with the given trace, not a state."""
+    g = np.random.default_rng(seed).standard_normal((2, d, d))
+    h = g[0] + 1j * g[1]
+    h = h + h.conj().T
+    return h + (trace - np.trace(h).real) / d * np.eye(d)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (2, 4), (4, 4)])
+def test_decompose_is_linear_and_reconstruct_inverts_it_for_any_trace(m, n):
+    # C[0, 0] is Tr H, so C(a H1 + b H2) = a C(H1) + b C(H2) holds on the whole
+    # matrix, and reconstruct recovers H whatever its trace.
+    ba, bb = gell_mann_basis(m), gell_mann_basis(n)
+    traces = (0.0, 1.0, -2.5, 7.0)
+    hs = [random_hermitian(m * n, 30 + seed, t) for seed, t in enumerate(traces)]
+    for h, t in zip(hs, traces):
+        bf = decompose(h, ba, bb)
+        assert abs(bf.correlation[0, 0] - t) <= 1e-12
+        assert np.max(np.abs(reconstruct(bf) - h)) <= 1e-12
+    for (h1, h2), (a, b) in zip(zip(hs, hs[1:] + hs[:1]), ((0.3, 0.7), (2.0, -1.5),
+                                                          (-4.0, 0.25), (1e3, 0.0))):
+        c1, c2 = decompose(h1, ba, bb).correlation, decompose(h2, ba, bb).correlation
+        mix = decompose(a * h1 + b * h2, ba, bb).correlation
+        assert np.allclose(mix, a * c1 + b * c2, rtol=1e-12, atol=1e-12)
 
 
 def test_correlation_matrix_rho_zero():

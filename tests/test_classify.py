@@ -302,6 +302,30 @@ def test_classify_state_validates_unless_told_not_to():
     assert list(classify_state(rho, 2, 2, validate=False)) == list(classify.SCREENS)
 
 
+def ranks(verdicts):
+    return [(name, v.computed_rank, v.ruled_out) for name, v in verdicts.items()]
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 2), (8, 4)])
+def test_unvalidated_ranks_do_not_depend_on_the_trace(m, n):
+    # C is linear in rho, so k rho has the ranks of rho for every k != 0.
+    product = np.kron(random_density(m, 70 + m), random_density(n, 80 + n))
+    for rho in (product, *corpus(m, n, range(2))):
+        expected = ranks(classify_state(rho, m, n, validate=False))
+        assert expected == ranks(classify_state(rho, m, n))
+        for k in (0.5, 3.0, 4.0, 1e3):
+            assert ranks(classify_state(k * rho, m, n, validate=False)) == expected, (m, n, k)
+    assert classify_state(product, m, n)["classical_classical"].computed_rank == 1
+
+
+def test_rho_zero_without_its_quarter_keeps_the_baseline_inconclusive():
+    # 4 rho_0(2) is the Pauli expansion of the benchmark state without its 1/4.
+    verdicts = classify_state(4.0 * rho_zero(2.0), 2, 2, validate=False)
+    for name in ("classical_classical", "dakic"):
+        v = verdicts[name]
+        assert not v.ruled_out and v.computed_rank == 2, name
+
+
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (4, 4), (8, 4)])
 def test_a_state_that_validates_is_classified_as_its_hermitian_part(m, n):
     # One Hermiticity criterion: a state within eq_abs of Hermitian passes

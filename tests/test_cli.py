@@ -7,7 +7,8 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from vnlift import basis, gell_mann_basis, pauli_gell_mann_basis, random_density, sampler
+from vnlift import (__version__, basis, gell_mann_basis, pauli_gell_mann_basis, random_density,
+                    sampler)
 from vnlift.cli import main, matrix_to_pairs, pairs_to_matrix
 from tests.conftest import near_hermitian
 
@@ -88,17 +89,27 @@ def test_classify_with_oracle():
     assert "won by" in out and "eigenbasis residual" in out
 
 
-def test_golden_reports_round_trip():
+def test_golden_reports_round_trip(tmp_path):
     goldens = sorted(glob.glob(os.path.join(FIXDIR, "golden", "*.report.json")))
     assert goldens
     for golden in goldens:
-        state = os.path.join(FIXDIR, os.path.basename(golden).replace(".report", ""))
+        name = os.path.basename(golden).replace(".report", "")
+        state = os.path.join(FIXDIR, name)
         with open(golden) as fh:
             expected = fh.read()
         # Every golden state is valid, so skipping validation changes no byte.
         for options in ((), ("--no-validate",)):
             _, out = run_cli("classify", state, "--json", *options)
             assert out == expected
+        # Multiplying by 4 is exact and C is linear in rho, so the state with its
+        # pairs x4, under the same name, reads the same ranks unvalidated.
+        with open(state) as fh:
+            doc = json.load(fh)
+        doc["rho"] = [[4 * x for x in pair] for pair in doc["rho"]]
+        scaled = tmp_path / name
+        scaled.write_text(json.dumps(doc))
+        _, out = run_cli("classify", str(scaled), "--json", "--no-validate")
+        assert out == expected, name
 
 
 def test_bell_subcommand():
@@ -162,6 +173,18 @@ def test_lift_non_unitary_exits_2(tmp_path):
     assert status == 2
 
 
+def test_lift_violating_the_invariants_exits_1(tmp_path, capsys):
+    # Unitary within a loose --tol-eq, but its lift is not a rank-1 projector.
+    path = tmp_path / "near_identity.json"
+    path.write_text(json.dumps({"m": 2, "u": matrix_to_pairs(np.array([[1, 0.01], [0, 1]]))}))
+    status, out = run_cli("lift", str(path), "--tol-eq", "0.1")
+    assert status == 1 and json.loads(out)["rank"] == 2
+    assert capsys.readouterr().err == (
+        "error: lifted matrix violates structural invariants (defect 9.999e-05, rank 2)\n")
+    status, _ = run_cli("lift", str(path))
+    assert status == 2
+
+
 def test_lift_overflowing_unitary_exits_2(tmp_path, capsys):
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps({"m": 2, "u": matrix_to_pairs(np.diag([1e308, 1e308]))}))
@@ -208,6 +231,22 @@ def test_malformed_document_exits_2(tmp_path, capsys, command, doc, named):
     assert status == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+
+
+def test_classify_names_a_wrong_number_of_pairs(tmp_path, capsys):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"m": 2, "n": 2, "rho": MAXIMALLY_MIXED_PAIRS[:15]}))
+    status, _ = run_cli("classify", str(path))
+    assert status == 2
+    assert capsys.readouterr().err == "error: expected 16 [re, im] pairs, got shape (15, 2)\n"
+
+
+def test_parser_exits_are_returned(capsys):
+    status, _ = run_cli("classify", os.path.join(FIXDIR, "rho0_x_2.json"), "--no-such-option")
+    assert status == 2
+    assert "unrecognized arguments: --no-such-option" in capsys.readouterr().err
+    status, out = run_cli("--version")
+    assert status == 0 and out == f"vnlift {__version__}\n"
 
 
 @pytest.mark.parametrize(

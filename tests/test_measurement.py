@@ -133,7 +133,7 @@ def test_build_C_identity_m2():
 def test_build_C0_identity_m2():
     c0 = build_C0(np.eye(2))
     expected = np.array([[1.0, 0, 0], [-1.0, 0, 0]], dtype=complex)
-    assert np.allclose(c0, expected)
+    assert c0.dtype == np.complex128 and np.allclose(c0, expected)
     assert numerical_rank(c0) == 1
 
 
@@ -180,6 +180,11 @@ def test_consistency_check_fixed_bases():
     b = gell_mann_basis(2)
     assert consistency_check(from_unitary(np.eye(2)), b) <= 1e-12
     assert consistency_check(from_unitary(HADAMARD), b) <= 1e-12
+
+
+def test_consistency_check_rejects_a_basis_of_another_dimension():
+    with pytest.raises(ShapeError, match="basis dim 3 != measurement dim 2"):
+        consistency_check(from_unitary(HADAMARD), gell_mann_basis(3))
 
 
 def test_consistency_check_random_m4():

@@ -157,6 +157,16 @@ def test_partial_trace_rejects_wrong_shape():
             partial_trace(np.ones((2, 8)), 2, 2, keep=keep)
 
 
+def test_samplers_reject_invalid_arguments():
+    with pytest.raises(ValueError, match="keep must be 'a' or 'b', got 'c'"):
+        partial_trace(np.eye(4) / 4.0, 2, 2, keep="c")
+    for make, args in ((random_unitary, (0, 0)), (random_density, (0, 0)),
+                       (random_classical_quantum, (1, 2, 0)),
+                       (random_classical_classical, (1, 2, 0))):
+        with pytest.raises(ValueError, match="dimension"):
+            make(*args)
+
+
 def test_swap_subsystems_involution():
     rho = random_density(6, 2)
     assert np.allclose(swap_subsystems(swap_subsystems(rho, 2, 3), 3, 2), rho)
@@ -236,6 +246,30 @@ def test_invariance_search_reports_winning_candidate():
     assert shorter.best_residual == report.best_residual
 
 
+def test_invariance_search_winner_owns_its_data():
+    # The report holds the m x m winner, not the chunk of candidates it came from.
+    eigen = invariance_search(random_classical_quantum(3, 3, 21), 3, 3, trials=20, seed=2)
+    trial = invariance_search(bell_diagonal_state(0.5, 0.3, 0.0), 2, 2, trials=50, seed=0)
+    assert eigen.best_trial is None and trial.best_trial is not None
+    for report, m in ((eigen, 3), (trial, 2)):
+        unitary = report.best_measurement.unitary
+        assert unitary.base is None and unitary.nbytes == 16 * m * m
+
+
+def test_invariance_reports_hold_only_their_winners():
+    states = [random_density(16, seed) for seed in range(50)]
+    sampler._one_chunk_candidates.cache_clear()
+    tracemalloc.start()
+    try:
+        reports = [invariance_search(rho, 4, 4, trials=2000) for rho in states]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # The shared candidate set is 0.5 MB; a report holding its 2001-candidate
+    # chunk would add 0.5 MB each.
+    assert len(reports) == 50 and held < 3 * 2**20
+
+
 def test_invariance_search_classical_sides_at_round_off():
     # A formulation that subtracts (||rho||^2 minus the diagonal blocks) lands
     # near 1e-8 here; the off-diagonal norm stays at round-off.
@@ -281,9 +315,9 @@ def test_invariance_search_memory_is_bounded_by_one_chunk():
         finally:
             tracemalloc.stop()
 
-    # A 4096-trial search, one chunk, peaks near 3.4 MB at 4x4 and an unchunked
-    # 20 000-trial search near 16.5 MB. The margin covers the winning chunk's
-    # candidates (1.05 MB), which the report holds while later chunks are scored.
+    # A 4096-trial search, one chunk, peaks near 3.2 MB at 4x4, and so does a
+    # chunked 20 000-trial search, since the report copies out its winner; an
+    # unchunked 20 000-trial search peaks near 15.7 MB.
     assert peak(20_000) < peak(4096) + 2 * 2**20
 
 
