@@ -64,7 +64,7 @@ def as_state(rho, m: int, n: int) -> np.ndarray:
 def _finite_matrix(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return a
 
@@ -77,7 +77,7 @@ def singular_values(a) -> np.ndarray:
     """Singular values, largest first, of a finite, non-empty 2-D matrix."""
     a = np.asarray(a)
     # Real input keeps the float SVD, about 1.5x faster than the complex one.
-    a = _finite_matrix(a.astype(complex if np.iscomplexobj(a) else float, copy=False))
+    a = _finite_matrix(a.astype(complex if a.dtype.kind == "c" else float, copy=False))
     if a.size == 0:
         raise ShapeError("rank of an empty matrix is undefined")
     return np.linalg.svd(a, compute_uv=False)
@@ -86,9 +86,10 @@ def singular_values(a) -> np.ndarray:
 def rank_of_spectrum(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     """Count the singular values ``s`` (largest first) above rank_rel times
     the largest one; zero when the largest is at most eq_abs."""
-    if s[0] <= tol.eq_abs:
+    top = float(s[0])
+    if top <= tol.eq_abs:
         return 0
-    return int(np.count_nonzero(s > tol.rank_rel * s[0]))
+    return int(np.count_nonzero(s > tol.rank_rel * top))
 
 
 def numerical_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -105,7 +106,8 @@ def _is_hermitian(a: np.ndarray, tol: Tolerance) -> bool:
 
 
 def check_unitary(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Return ``a`` as a complex matrix, or raise if ||AA^dag - I||_F > eq_abs.
+    """Return ``a`` as a complex matrix, or raise if ||AA^dag - I||_F > eq_abs
+    or ``a`` is empty.
 
     A NaN or Inf entry makes the defect non-finite, so the finite-entry scan
     runs only once the defect test has failed.
@@ -114,11 +116,13 @@ def check_unitary(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         _finite_matrix(a)
         raise ShapeError(f"unitary must be square, got {a.shape}")
+    if not a.size:
+        raise ShapeError("unitary must not be empty")
     # An overflowing product is rejected below; it need not warn first.
     with np.errstate(over="ignore", invalid="ignore"):
-        defect_matrix = a @ a.conj().T
-    defect_matrix.reshape(-1)[:: a.shape[0] + 1] -= 1.0
-    defect = frobenius(defect_matrix)
+        gram = a @ a.conj().T
+        gram.reshape(-1)[:: a.shape[0] + 1] -= 1.0
+        defect = math.sqrt(np.vdot(gram, gram).real)
     # Written so that a NaN defect (an overflowing product) fails the test.
     if not defect <= tol.eq_abs:
         _finite_matrix(a)

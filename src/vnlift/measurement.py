@@ -4,6 +4,7 @@ associated coefficient matrices C and C0."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,7 +30,8 @@ class VonNeumannMeasurement:
 
     def projectors(self) -> np.ndarray:
         """(m, m, m) array; slice i is |phi_i><phi_i|."""
-        return np.einsum("ia,ib->iab", self.unitary, self.unitary.conj())
+        u = self.unitary
+        return u[:, :, np.newaxis] * u.conj()[:, np.newaxis, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,11 +52,16 @@ def from_unitary(a, tol: Tolerance = DEFAULT_TOL) -> VonNeumannMeasurement:
     return VonNeumannMeasurement(dim=a.shape[0], unitary=a)
 
 
-def _coefficients(u: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """D[s, i] = <phi_s|mu_i|phi_s> for the rows phi_s of u: one product of the
-    rows conj(phi_s) (x) phi_s with the flattened elements' transpose."""
-    rows = (u.conj()[:, :, np.newaxis] * u[:, np.newaxis, :]).reshape(len(u), -1)
-    return rows @ elements.reshape(len(elements), -1).T
+def _outer_rows(u: np.ndarray) -> np.ndarray:
+    """(m, m^2) array whose row s is conj(phi_s) (x) phi_s for the rows phi_s of u."""
+    return (u.conj()[:, :, np.newaxis] * u[:, np.newaxis, :]).reshape(len(u), -1)
+
+
+def _coefficients(u: np.ndarray, b: HermitianBasis) -> np.ndarray:
+    """D[s, i] = <phi_s|mu_i|phi_s> for the rows phi_s of u and the elements
+    mu_i of b: one product of _outer_rows(u) with the transpose of the
+    flattened elements, the rows of b.augmented() after vec I."""
+    return _outer_rows(u) @ b.augmented()[1:].T
 
 
 def lift_matrix(
@@ -68,11 +75,12 @@ def lift_matrix(
     """
     if b.dim != meas.dim:
         raise ShapeError(f"basis dim {b.dim} != measurement dim {meas.dim}")
-    d = _coefficients(meas.unitary, b.stack())
-    imag = float(np.max(np.abs(d.imag)))
+    d = _coefficients(meas.unitary, b)
+    imag = float(np.abs(d.imag).max())
     if imag > tol.eq_abs:
         raise ValueError(f"lifted matrix has imaginary residue {imag:.3e}")
-    return LiftedMeasurement(dim=meas.dim, matrix=d.real.T @ d.real)
+    d = d.real
+    return LiftedMeasurement(dim=meas.dim, matrix=d.T @ d)
 
 
 def _checked_unitary(a, tol: Tolerance) -> np.ndarray:
@@ -87,7 +95,15 @@ def build_C(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     C[s, i] = <a_s|mu_i|a_s>, where a_s is row s of A and mu_i is element i of
     gell_mann_basis(m), so the columns follow that basis's canonical ordering."""
     a = _checked_unitary(a, tol)
-    return _coefficients(a, gell_mann_basis(a.shape[0]).stack()).real
+    return _coefficients(a, gell_mann_basis(a.shape[0])).real
+
+
+@lru_cache(maxsize=None)
+def _off_diagonal(m: int) -> np.ndarray:
+    """Read-only row-major flat indices k*m + l of the m x m entries with k != l."""
+    index = np.flatnonzero(~np.eye(m, dtype=bool))
+    index.setflags(write=False)
+    return index
 
 
 def build_C0(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -96,9 +112,8 @@ def build_C0(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     over the ordered pairs k != l in row-major order."""
     a = _checked_unitary(a, tol)
     absq = np.abs(a) ** 2
-    k, l = np.nonzero(~np.eye(a.shape[0], dtype=bool))
     alpha = absq[:, :1] - absq[:, 1:]
-    beta = a[:, k].conj() * a[:, l]
+    beta = _outer_rows(a)[:, _off_diagonal(a.shape[0])]
     return np.concatenate([alpha, beta], axis=1)
 
 
@@ -112,6 +127,6 @@ def consistency_check(meas: VonNeumannMeasurement, b: HermitianBasis) -> float:
     m = meas.dim
     proj = meas.projectors().reshape(m, m * m)
     superop = (proj.T @ proj).reshape(m, m, m, m).transpose(1, 2, 0, 3).reshape(m * m, m * m)
-    applied = b.stack().reshape(-1, m * m) @ superop
-    predicted = _coefficients(meas.unitary, b.stack()).T @ proj
-    return float(np.max(np.abs(applied - predicted)))
+    applied = b.augmented()[1:] @ superop
+    predicted = _coefficients(meas.unitary, b).T @ proj
+    return float(np.abs(applied - predicted).max())

@@ -7,8 +7,8 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from vnlift import (__version__, basis, gell_mann_basis, pauli_gell_mann_basis, random_density,
-                    sampler)
+from vnlift import (__version__, basis, cli, gell_mann_basis, pauli_gell_mann_basis,
+                    random_density, sampler)
 from vnlift.cli import main, matrix_to_pairs, pairs_to_matrix
 from tests.conftest import near_hermitian
 
@@ -36,6 +36,18 @@ def test_basis_subcommand_matches_generator():
     assert [e["label"] for e in doc["elements"]] == list(b.labels)
     for entry, el in zip(doc["elements"], b.elements):
         assert np.allclose(pairs_to_matrix(entry["matrix"], 2, 2), el)
+
+
+def test_basis_too_large_to_allocate_exits_2(monkeypatch, capsys):
+    # What gell_mann_basis(1500) raises, without allocating anything.
+    def unallocatable(m):
+        raise MemoryError(f"Unable to allocate 73.7 TiB for the basis of dimension {m}")
+
+    monkeypatch.setattr(cli, "gell_mann_basis", unallocatable)
+    status, out = run_cli("basis", "1500")
+    assert status == 2 and out == ""
+    assert capsys.readouterr().err == (
+        "error: Unable to allocate 73.7 TiB for the basis of dimension 1500\n")
 
 
 def test_lift_subcommand_hadamard():

@@ -81,9 +81,26 @@ def test_check_unitary_uses_eq_abs():
     assert np.array_equal(check_unitary(near, Tolerance(eq_abs=1e-6)), near)
 
 
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("tol", [Tolerance(), Tolerance(eq_abs=1e-6)], ids=["1e-10", "1e-6"])
+def test_check_unitary_cutoff_is_eq_abs(tol, m):
+    # U diag(1, ..., 1, sqrt(1 + x)) has ||AA^dag - I||_F = x exactly, up to
+    # round-off far below the 1e-3 relative margin on either side of eq_abs.
+    u = random_unitary(m, m)
+    for x in (tol.eq_abs * (1 - 1e-3), tol.eq_abs * (1 + 1e-3)):
+        a = u @ np.diag([1.0] * (m - 1) + [np.sqrt(1 + x)])
+        if x < tol.eq_abs:
+            assert np.array_equal(check_unitary(a, tol), a)
+        else:
+            with pytest.raises(UnitarityError):
+                check_unitary(a, tol)
+
+
 def test_check_unitary_rejects():
     with pytest.raises(ShapeError):
         check_unitary(np.zeros((2, 3)))
+    with pytest.raises(ShapeError, match="empty"):
+        check_unitary(np.zeros((0, 0)))
     with pytest.raises(UnitarityError, match="AA"):
         check_unitary(np.array([[1, 1], [0, 1]]))
 
