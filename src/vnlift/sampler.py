@@ -174,6 +174,22 @@ _BLOCK_ELEMENTS = 1 << 14
 # default 2000-trial search is one chunk.
 _CHUNK_TRIALS = 4096
 
+# A trial is skipped only when its lower bound exceeds the best residual by
+# this multiple of ||rho||_F (plus the anti-Hermitian allowance). The bound's
+# variance loses about m * eps * ||rho||_F^2 to cancellation, so its square
+# root is off by at most about sqrt(m * eps) * ||rho||_F, 3e-8 at m = 4, and a
+# residual by about m^2 * eps * ||rho||_F; a trial within the margin is scored.
+_PRUNE_MARGIN = 1e-6
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_pairs(m: int) -> tuple:
+    """Read-only `np.triu_indices(m, 1)`: the pairs i < k of measurement rows."""
+    pairs = np.triu_indices(m, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
 
 @functools.lru_cache(maxsize=1)
 def _one_chunk_candidates(seed: int, m: int, trials: int) -> np.ndarray:
@@ -200,7 +216,7 @@ def _measured_residuals(rho4: np.ndarray, units: np.ndarray) -> np.ndarray:
     Nothing is subtracted, so a small residual carries no cancellation error."""
     count, m = units.shape[:2]
     n = rho4.shape[1]
-    i, k = np.triu_indices(m, 1)
+    i, k = _upper_pairs(m)
     p = rho4.transpose(0, 2, 1, 3).reshape(m * m, n * n)
     block = max(1, _BLOCK_ELEMENTS // (len(i) * max(m, n) ** 2))
     out = np.empty(count)
@@ -209,7 +225,11 @@ def _measured_residuals(rho4: np.ndarray, units: np.ndarray) -> np.ndarray:
         # C order, so that the reshape to one row per (candidate, pair) is a view.
         kron = np.multiply(u[:, i, :, None].conj(), u[:, k, None, :], order="C")
         kron = kron.reshape(-1, m * m)
-        off = (kron @ p).view(np.float64).reshape(len(u), -1)
+        # numpy sends a one-row product (one candidate at m = 2) to gemv, which
+        # rounds differently from gemm; a repeated row keeps it on gemm, so a
+        # candidate's bits do not depend on the batch it is scored in.
+        off = (kron if len(kron) > 1 else kron.repeat(2, axis=0)) @ p
+        off = off[:len(kron)].view(np.float64).reshape(len(u), -1)
         out[start:start + block] = np.einsum("zj,zj->z", off, off)
     return np.sqrt(2.0 * out)
 
@@ -224,7 +244,22 @@ def invariance_search(
 ) -> InvarianceReport:
     """Minimize ||channel(rho) - rho||_F over random von Neumann measurements
     on one side, always including the eigenbasis of the relevant reduced
-    state as a deterministic candidate."""
+    state as a deterministic candidate.
+
+    The eigenbasis is scored first. A random trial is then scored only if a
+    lower bound on its residual does not rule it out. With B_ik the
+    off-diagonal blocks <phi_i| rho |phi_k>, Tr B_ik = <phi_i| rho_A |phi_k>
+    and |Tr B|^2 <= n ||B||_F^2, so for the Hermitian part H of rho_A
+
+        residual^2 >= (2/n) (<phi_0|H^2|phi_0> - <phi_0|H|phi_0>^2),
+
+    the variance of H's eigenvalues under the weights |<v_j|phi_0>|^2 of the
+    trial's first measurement vector in H's eigenbasis: O(m^2) per trial,
+    against O(m^4 n^2) for the residual. A trial is skipped only when its
+    bound exceeds the best residual so far by the round-off margin
+    `_PRUNE_MARGIN` * ||rho||_F, plus sqrt(2/n) ||A||_F for the anti-Hermitian
+    part A of rho_A, which the bound leaves out. A skipped trial can thus
+    neither win nor tie, and the report is what scoring every trial gives."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if m < 2 or n < 2:
@@ -235,40 +270,62 @@ def invariance_search(
     if side == "right":
         rho, m, n = swap_subsystems(rho, m, n), n, m
     reduced = partial_trace(rho, m, n, keep="a")
-    evals, evecs = np.linalg.eigh((reduced + reduced.conj().T) / 2.0)
+    hermitian = (reduced + reduced.conj().T) / 2.0
+    evals, evecs = np.linalg.eigh(hermitian)
     degenerate = bool(np.min(np.diff(evals)) < _DEGENERACY_GAP)
-    # Candidate 0 is the eigenbasis and candidate t + 1 is trial t; row i of a
-    # measurement unitary is the coefficient vector of |phi_i>. Every chunk
-    # draws from one generator and every step is per trial, so trial t's
-    # candidate and residual do not depend on the chunking or on `trials`.
-    # A one-chunk search takes its candidates from the shared read-only set.
-    rho4, chunk = rho.reshape(m, n, m, n), _CHUNK_TRIALS + 1
-    rng = None if trials < chunk else _rng(seed, 2)
-    best, best_residual, best_unit = 0, np.inf, None
-    for first in range(0, trials + 1, chunk):
-        end = min(first + chunk, trials + 1)
+    # Row i of a measurement unitary is the coefficient vector of |phi_i>. A
+    # copy, so the report holds the winner and not eigh's output.
+    rho4, best_unit = rho.reshape(m, n, m, n), evecs.T.copy()
+    eigenbasis_residual = float(_measured_residuals(rho4, best_unit[None])[0])
+    best, best_residual = None, eigenbasis_residual
+    # sqrt(2/n) ||A||_F with A = reduced - hermitian, the anti-Hermitian part.
+    anti = reduced - hermitian
+    margin = (_PRUNE_MARGIN * np.sqrt(np.vdot(rho, rho).real)
+              + np.sqrt(2.0 / n * np.vdot(anti, anti).real))
+    # The bound's variance is moments @ w minus its mean squared, for w_j the
+    # weights |<v_j|phi_0>|^2 of each trial's first measurement vector.
+    moments, evecs_h = np.array([evals, evals * evals]), evecs.conj().T
+    # Every chunk draws from one generator and every step is per trial, so
+    # trial t's candidate and residual do not depend on the chunking, on
+    # `trials` or on which other trials are scored with it. A one-chunk search
+    # takes its candidates from the shared read-only set.
+    rng = None if trials <= _CHUNK_TRIALS else _rng(seed, 2)
+    for first in range(0, trials, _CHUNK_TRIALS):
         if rng is None:
             units = _one_chunk_candidates(int(seed), m, trials)
         else:
-            units = _unitaries_by_gram_schmidt(
-                rng.standard_normal((end - max(first, 1), 2, m, m)))
-        if first == 0:
-            units = np.concatenate([evecs.T[None], units])
-        residuals = _measured_residuals(rho4, units)
-        if first == 0:
-            eigenbasis_residual = float(residuals[0])
-        k = int(np.argmin(residuals))
-        # Strictly smaller, so a tie keeps the earliest candidate, as one argmin
-        # would. A copy, so the report holds the winner and not its chunk.
-        if residuals[k] < best_residual:
-            best, best_residual, best_unit = first + k, float(residuals[k]), units[k].copy()
+            count = min(_CHUNK_TRIALS, trials - first)
+            units = _unitaries_by_gram_schmidt(rng.standard_normal((count, 2, m, m)))
+        # A trial is skipped when bound^2 = (2/n) (second - mean^2) exceeds the
+        # best residual plus the margin, squared. The variance is at most a
+        # quarter of the squared eigenvalue spread, so when that is within the
+        # limit no trial can be skipped and the bounds are not computed.
+        limit = n / 2.0 * (best_residual + margin) ** 2
+        if (evals[-1] - evals[0]) ** 2 / 4.0 > limit:
+            z = evecs_h @ units[:, 0].T
+            mean, second = moments @ (z.real * z.real + z.imag * z.imag)
+            # Not `<=`, so that a NaN (from an overflowing state) is scored.
+            keep = np.flatnonzero(~(second - mean * mean > limit))
+        else:
+            keep = np.arange(len(units))
+        if len(keep) < len(units):
+            units = units[keep]
+        if len(keep):
+            residuals = _measured_residuals(rho4, units)
+            k = int(np.argmin(residuals))
+            # Strictly smaller, so a tie keeps the earliest candidate, as one
+            # argmin over all of them would. A copy, so the report holds the
+            # winner and not its chunk.
+            if residuals[k] < best_residual:
+                best, best_residual = first + int(keep[k]), float(residuals[k])
+                best_unit = units[k].copy()
         # Released before the next chunk is drawn.
-        del units, residuals
+        del units
     return InvarianceReport(
         best_residual=best_residual,
         best_measurement=from_unitary(best_unit, Tolerance(eq_abs=1e-8)),
         trials=trials,
         reduced_spectrum_degenerate=degenerate,
-        best_trial=best - 1 if best else None,
+        best_trial=best,
         eigenbasis_residual=eigenbasis_residual,
     )

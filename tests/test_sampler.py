@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -26,7 +27,7 @@ from vnlift.sampler import (
     _unitaries_by_gram_schmidt,
     _unitary_from_gaussian,
 )
-from tests.conftest import bell_diagonal_state
+from tests.conftest import bell_diagonal_state, near_hermitian
 
 
 def channel_on_left(rho, u, m, n):
@@ -64,22 +65,148 @@ def test_gram_schmidt_unitaries_match_qr_and_ignore_batch_size(m):
         assert np.array_equal(_unitaries_by_gram_schmidt(z[:t + 1])[t], u[t]), t
 
 
-def test_invariance_search_trial_residual_ignores_trial_count(monkeypatch):
-    measured_residuals = sampler._measured_residuals
-    computed = []
+def _eigenbasis(rho, m, n):
+    """The search's eigenbasis candidate: rows are the eigenvectors of the
+    Hermitian part of the measured side's reduced state."""
+    reduced = partial_trace(rho, m, n, keep="a")
+    return np.linalg.eigh((reduced + reduced.conj().T) / 2.0)[1].T.copy()
 
-    def recording(rho4, units):
-        computed.append(measured_residuals(rho4, units))
-        return computed[-1]
 
-    monkeypatch.setattr(sampler, "_measured_residuals", recording)
+def test_invariance_search_trial_residual_ignores_trial_count():
+    # The search scores the eigenbasis alone, then whichever trials its bound
+    # keeps, so a candidate's residual must be the same bits in a batch of any
+    # length and at any offset. A classical side's eigenbasis residual is pure
+    # round-off, the case where a different summation order shows.
+    for m, n in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 4)):
+        for rho in (random_classical_quantum(m, n, 47), random_density(m * n, 47)):
+            rho4 = rho.reshape(m, n, m, n)
+            trial = sampler._one_chunk_candidates(5, m, 2000)
+            units = np.concatenate([_eigenbasis(rho, m, n)[None], trial])
+            want = sampler._measured_residuals(rho4, units)
+            for length in [*range(1, 41), 2001]:
+                for offset in sorted({0, 1, length // 2, 2001 - length}):
+                    if offset + length <= 2001:
+                        got = sampler._measured_residuals(rho4, units[offset:offset + length])
+                        assert np.array_equal(got, want[offset:offset + length]), \
+                            (m, n, length, offset)
+                # The eigenbasis at each offset of a prefix of trials.
+                for offset in sorted({0, length // 2, length - 1}):
+                    batch = np.concatenate([trial[:offset], units[:1], trial[offset:length - 1]])
+                    got = sampler._measured_residuals(rho4, batch)[offset]
+                    assert got == want[0], (m, n, length, offset)
     rho = random_density(16, 47)
     for side in ("left", "right"):
-        computed.clear()
-        invariance_search(rho, 4, 4, side=side, trials=1, seed=5)
-        invariance_search(rho, 4, 4, side=side, trials=2000, seed=5)
-        # The eigenbasis candidate and trial 0, bit for bit.
-        assert np.array_equal(computed[0], computed[1][:2]), side
+        one = invariance_search(rho, 4, 4, side=side, trials=1, seed=5)
+        full = invariance_search(rho, 4, 4, side=side, trials=2000, seed=5)
+        assert one.eigenbasis_residual == full.eigenbasis_residual, side
+
+
+def _pruning_states(m, n):
+    d = m * n
+    states = {
+        "density": random_density(d, 71),
+        "cq": random_classical_quantum(m, n, 71),
+        "qc": random_quantum_classical(m, n, 71),
+        "cc": random_classical_classical(m, n, 71),
+        "maximally mixed": np.eye(d, dtype=complex) / d,
+        "density x1e6": 1e6 * random_density(d, 72),
+        "cq x1e6": 1e6 * random_classical_quantum(m, n, 72),
+        "density x1e-6": 1e-6 * random_density(d, 73),
+        "cq x1e-6": 1e-6 * random_classical_quantum(m, n, 73),
+        "near-Hermitian cq": near_hermitian(random_classical_quantum(m, n, 74), 74),
+        "non-Hermitian cq": near_hermitian(random_classical_quantum(m, n, 75), 75, 1e8),
+    }
+    if m == n:
+        phi = np.eye(m).ravel() / np.sqrt(m)
+        states["entangled"] = 0.6 * np.outer(phi, phi) + 0.4 * random_density(d, 76)
+    if (m, n) == (2, 2):
+        states["bell-diagonal"] = bell_diagonal_state(0.5, 0.3, 0.0)
+    return states
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 4), (3, 2), (2, 4)])
+def test_invariance_search_pruning_is_exact(m, n):
+    # The reference scores every candidate: the eigenbasis, then all trials in
+    # one batch, and takes the first argmin, so the eigenbasis wins ties. Trial
+    # t is the same candidate for every trial count, so one draw of 5000
+    # serves 50, 2000 (one chunk) and 5000 (two chunks).
+    seed = m + 10 * n
+    drawn = {k: _unitaries_by_gram_schmidt(_rng(seed, 2).standard_normal((5000, 2, k, k)))
+             for k in {m, n}}
+    for kind, rho in _pruning_states(m, n).items():
+        for side in ("left", "right"):
+            state, a, b = (rho, m, n) if side == "left" else (swap_subsystems(rho, m, n), n, m)
+            units = np.concatenate([_eigenbasis(state, a, b)[None], drawn[a]])
+            residuals = sampler._measured_residuals(state.reshape(a, b, a, b), units)
+            for trials in (50, 2000, 5000):
+                best = int(np.argmin(residuals[:trials + 1]))
+                report = invariance_search(rho, m, n, side=side, trials=trials, seed=seed)
+                where = (kind, side, trials)
+                assert report.best_trial == (best - 1 if best else None), where
+                assert report.best_residual == residuals[best], where
+                assert report.eigenbasis_residual == residuals[0], where
+                assert np.array_equal(report.best_measurement.unitary, units[best]), where
+
+
+def test_invariance_search_pruning_keeps_near_ties(monkeypatch):
+    # Trials whose bound lies at or near their residual, which must still be
+    # scored: the reference is again the first argmin over all candidates.
+    def check(rho, m, n, trials):
+        monkeypatch.setattr(sampler, "_one_chunk_candidates", lambda *key: trials)
+        units = np.concatenate([_eigenbasis(rho, m, n)[None], trials])
+        residuals = sampler._measured_residuals(rho.reshape(m, n, m, n), units)
+        best = int(np.argmin(residuals))
+        report = invariance_search(rho, m, n, trials=len(trials), seed=0)
+        assert report.best_trial == (best - 1 if best else None)
+        assert report.best_residual == residuals[best]
+        return best
+
+    # The eigenbasis reordered and rephased ties it to round-off, where the
+    # bound's cancellation error exceeds the residual: the margin keeps them.
+    rng = np.random.default_rng(3)
+    winners = []
+    for seed in range(10):
+        rho = random_classical_quantum(3, 3, seed)
+        eigen = _eigenbasis(rho, 3, 3)
+        tied = [np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 1))) * eigen[list(order)]
+                for order in itertools.permutations(range(3)) for _ in range(3)]
+        drawn = _unitaries_by_gram_schmidt(_rng(seed, 2).standard_normal((20, 2, 3, 3)))
+        trials = np.concatenate([tied, drawn])
+        winners.append(check(rho, 3, 3, trials[rng.permutation(len(trials))]))
+    # Searches that a reordered eigenbasis won.
+    assert sum(w > 0 for w in winners) >= 5, winners
+    # rho = X (x) I/2 with X lower triangular in a basis phi is not Hermitian:
+    # phi's residual is 0, but the Hermitian part of rho_A = X has off-diagonal
+    # entries there, so phi's bound alone is 0.5. A first chunk holding a
+    # rotation of phi (residual 0.002, bound 0.498) lowers the best residual
+    # below that; the anti-Hermitian allowance keeps phi in the second chunk.
+    phi = random_unitary(2, 0)
+    rho = np.kron(phi.T @ np.array([[0.6, 0.0], [1.0, 0.4]]) @ phi.conj(), np.eye(2) / 2)
+    turn = np.array([[np.cos(0.01), np.sin(0.01)], [-np.sin(0.01), np.cos(0.01)]])
+    chunks = [(turn @ phi)[None], phi[None]]
+    monkeypatch.setattr(sampler, "_CHUNK_TRIALS", 1)
+    monkeypatch.setattr(sampler, "_unitaries_by_gram_schmidt", lambda z: chunks.pop(0))
+    report = invariance_search(rho, 2, 2, trials=2, seed=0)
+    assert report.best_trial == 1 and report.best_residual <= 1e-15
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_invariance_search_skips_almost_every_trial_on_a_classical_side(monkeypatch, m):
+    measured_residuals = sampler._measured_residuals
+    scored = []
+
+    def counting(rho4, units):
+        scored.append(len(units))
+        return measured_residuals(rho4, units)
+
+    monkeypatch.setattr(sampler, "_measured_residuals", counting)
+    for seed in range(5):
+        scored.clear()
+        report = invariance_search(random_classical_quantum(m, m, seed), m, m, trials=2000,
+                                   seed=seed)
+        assert report.best_trial is None and report.best_residual <= 1e-10, seed
+        # The eigenbasis first, alone; then fewer than 1% of the trials.
+        assert scored[0] == 1 and sum(scored[1:]) < 20, (seed, scored)
 
 
 def test_random_density_properties():
