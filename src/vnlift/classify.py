@@ -48,7 +48,7 @@ def check_quantum_classical(bf: BlochForm, tol: Tolerance = DEFAULT_TOL) -> Verd
 
 
 def check_classical_classical(bf: BlochForm, tol: Tolerance = DEFAULT_TOL) -> Verdict:
-    """Classical-classical states have rank [[1, S^T], [R, T]] at most min(m, n)."""
+    """Classical-classical states have rank [[Tr rho, S^T], [R, T]] at most min(m, n)."""
     rank = rank_of_spectrum(bf.correlation_spectrum, tol)
     return _verdict(bf.correlation, min(bf.m, bf.n), rank)
 

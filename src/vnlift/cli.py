@@ -15,8 +15,8 @@ from . import __version__
 from .basis import gell_mann_basis
 from .classify import BellDiagonalSpec, classify_bell_diagonal, classify_state
 from .linalg import DEFAULT_TOL, BasisError, Tolerance, numerical_rank
-from .measurement import (MAX_CONSISTENCY_RESIDUAL, MAX_IDEMPOTENCY_DEFECT, consistency_check,
-                          from_unitary, lift_matrix)
+from .measurement import (MAX_CONSISTENCY_RESIDUAL, MAX_IDEMPOTENCY_DEFECT, build_C, build_C0,
+                          consistency_check, from_unitary, lift_matrix)
 from .sampler import (
     InvarianceReport,
     invariance_search,
@@ -32,9 +32,15 @@ def matrix_to_pairs(a: np.ndarray) -> list:
 
 
 def pairs_to_matrix(pairs, rows: int, cols: int) -> np.ndarray:
+    """Row-major [re, im] pairs of JSON numbers as a rows x cols matrix; a
+    string or a JSON true or false is not a number."""
+    if not (isinstance(pairs, list) and all(
+            isinstance(pair, list) and all(type(x) in (int, float) for x in pair)
+            for pair in pairs)):
+        raise ValueError("[re, im] pairs must hold numbers")
     try:
         arr = np.asarray(pairs, dtype=float)
-    except TypeError as exc:
+    except OverflowError as exc:  # a JSON integer beyond the float range
         raise ValueError(f"[re, im] pairs must hold numbers: {exc}") from None
     if arr.shape != (rows * cols, 2):
         raise ValueError(f"expected {rows * cols} [re, im] pairs, got shape {arr.shape}")
@@ -177,6 +183,11 @@ def cmd_bell(args) -> int:
     return 0
 
 
+# Dimensions of the selftest basis and lift rows, and random unitaries per lift row.
+_SELFTEST_DIMS = (2, 3, 4, 6, 8)
+_LIFT_SAMPLES = 500
+
+
 def cmd_selftest(args) -> int:
     tol = DEFAULT_TOL
     seed = args.seed
@@ -187,27 +198,33 @@ def cmd_selftest(args) -> int:
 
     # A HermitianBasis checks itself on construction, so a broken basis raises
     # BasisError: FAIL here, and exit 2 from the rows below that use it.
-    for m in (2, 3, 4):
+    for m in _SELFTEST_DIMS:
         try:
             ok = gell_mann_basis(m).dim == m
         except BasisError:
             ok = False
         record(f"basis orthonormal m={m}", ok)
 
-    ok_lift = True
-    ok_consist = True
-    for m in (2, 3):
+    # Every lifted measurement M is idempotent, M and the coefficient matrices
+    # C and C0 have rank m - 1, and the channel matches C.
+    for m in _SELFTEST_DIMS:
         b = gell_mann_basis(m)
-        for k in range(50):
-            meas = from_unitary(random_unitary(m, seed + 97 * m + k), tol)
+        ok = True
+        worst_defect = worst_consist = 0.0
+        for k in range(_LIFT_SAMPLES):
+            u = random_unitary(m, seed + 1_000_000 * m + k)
+            meas = from_unitary(u, tol)
             lifted = lift_matrix(meas, b, tol)
             defect = lifted.idempotency_defect
-            if defect > MAX_IDEMPOTENCY_DEFECT or numerical_rank(lifted.matrix, tol) != m - 1:
-                ok_lift = False
-            if consistency_check(meas, b) > MAX_CONSISTENCY_RESIDUAL:
-                ok_consist = False
-    record("lift idempotent, rank m-1 (50 random unitaries, m=2,3)", ok_lift)
-    record("channel matches coefficient matrix C", ok_consist)
+            consist = consistency_check(meas, b)
+            ranks = {numerical_rank(a, tol) for a in (lifted.matrix, build_C(u, tol),
+                                                      build_C0(u, tol))}
+            ok = (ok and ranks == {m - 1} and defect <= MAX_IDEMPOTENCY_DEFECT
+                  and consist <= MAX_CONSISTENCY_RESIDUAL)
+            worst_defect = max(worst_defect, defect)
+            worst_consist = max(worst_consist, consist)
+        record(f"lift m={m}, {_LIFT_SAMPLES} unitaries: ranks M, C, C0 = m-1, "
+               f"max defect {worst_defect:.3e}, max consistency {worst_consist:.3e}", ok)
 
     ok_cq = True
     ok_cc = True

@@ -95,7 +95,7 @@ def rank_of_spectrum(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
 def numerical_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
     """Count singular values above rank_rel times the largest one.
 
-    A matrix whose largest singular value is below eq_abs counts as zero.
+    A matrix whose largest singular value is at most eq_abs counts as zero.
     """
     return rank_of_spectrum(singular_values(a), tol)
 
@@ -167,8 +167,10 @@ def validate_density(rho, tol: Tolerance = DEFAULT_TOL) -> DensityReport:
     herm = bool(np.abs(rho - rho_dag).max(initial=0.0) <= tol.eq_abs)
     unit_trace = abs(np.trace(rho) - 1.0) <= tol.eq_abs
     # The factorisation reads one triangle only; symmetrizing makes that the
-    # same matrix whose smallest eigenvalue min_eigenvalue reports.
-    sym = (rho + rho_dag) / 2.0
+    # same matrix whose smallest eigenvalue min_eigenvalue reports. Halving
+    # before the sum keeps a finite rho's sym finite.
+    sym = rho * 0.5
+    sym += rho_dag * 0.5
     sym.flags.writeable = False
     shifted = sym.copy()
     shifted.reshape(-1)[:: rho.shape[0] + 1] += tol.eq_abs

@@ -163,6 +163,17 @@ def test_classify_invalid_density_exits_2(tmp_path, capsys):
     assert status == 0
 
 
+def test_classify_overflowing_state_fails_density_validation(tmp_path, capsys):
+    # Finite entries whose sum rho + rho^dag would overflow to inf.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"m": 2, "n": 2, "rho": [[1e308, 0.0]] * 16}))
+    with np.errstate(over="ignore"):
+        status, out = run_cli("classify", str(path))
+    assert status == 2 and out == ""
+    assert capsys.readouterr().err.startswith(
+        "error: state fails density validation: hermitian=True unit_trace=False ")
+
+
 def test_classify_reads_a_near_hermitian_state_as_its_hermitian_part(tmp_path):
     # Within eq_abs of Hermitian, so it validates; the report is that of the
     # symmetrised state, written to a file of the same name.
@@ -245,6 +256,32 @@ def test_malformed_document_exits_2(tmp_path, capsys, command, doc, named):
     assert err.startswith("error:") and named in err
 
 
+@pytest.mark.parametrize(
+    "command,doc,key",
+    [("classify", {"m": 2, "n": 2}, "rho"), ("lift", {"m": 2}, "u")],
+    ids=["classify", "lift"],
+)
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda pairs: [[str(x) for x in pair] for pair in pairs],
+        lambda pairs: [[bool(x) for x in pair] for pair in pairs],
+        lambda pairs: [[str(pairs[0][0]), pairs[0][1]]] + pairs[1:],
+        lambda pairs: [[10**400, pairs[0][1]]] + pairs[1:],
+    ],
+    ids=["strings", "booleans", "mixed", "int_beyond_float"],
+)
+def test_pairs_that_are_not_numbers_exit_2(tmp_path, capsys, command, doc, key, spoil):
+    # Read as numbers, each spoilt document but the last is a valid state or
+    # unitary.
+    pairs = MAXIMALLY_MIXED_PAIRS if command == "classify" else matrix_to_pairs(np.eye(2))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**doc, key: spoil(pairs)}))
+    status, out = run_cli(command, str(path))
+    assert status == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: [re, im] pairs must hold numbers")
+
+
 def test_classify_names_a_wrong_number_of_pairs(tmp_path, capsys):
     path = tmp_path / "short.json"
     path.write_text(json.dumps({"m": 2, "n": 2, "rho": MAXIMALLY_MIXED_PAIRS[:15]}))
@@ -298,7 +335,24 @@ def test_tolerance_flags_are_echoed():
 def test_selftest_passes():
     status, out = run_cli("selftest", "--seed", "1")
     assert status == 0
-    assert "FAIL" not in out
+    assert "FAIL" not in out and out.endswith("14/14 checks passed\n")
+
+
+@pytest.mark.slow
+def test_selftest_fails_when_one_dimension_fails(monkeypatch):
+    real_rank = cli.numerical_rank
+
+    def rank_wrong_at_m2(a, *args, **kwargs):
+        # The m = 2 lift is the only 3x3 matrix that selftest ranks.
+        return 0 if np.shape(a) == (3, 3) else real_rank(a, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "numerical_rank", rank_wrong_at_m2)
+    status, out = run_cli("selftest")
+    assert status == 1
+    lift_rows = [line for line in out.splitlines() if line.startswith("lift ")]
+    assert [row.split(":")[0] for row in lift_rows] == [
+        f"lift m={m}, 500 unitaries" for m in (2, 3, 4, 6, 8)]
+    assert [row.split()[-1] for row in lift_rows] == ["FAIL", "PASS", "PASS", "PASS", "PASS"]
 
 
 @pytest.fixture
