@@ -17,26 +17,28 @@ class HermitianBasis:
     """Ordered orthonormal basis of the m x m traceless Hermitian matrices.
 
     Each label is one of ``diagonal(p)``, ``symmetric(k,l)``, ``antisymmetric(k,l)``.
-    Construction checks the shape, Hermiticity and tracelessness of every
+    ``dim`` is m, read from the one square shape the elements share.
+    Construction checks the shape, count, Hermiticity and tracelessness of every
     element and that the Hilbert-Schmidt Gram matrix is the identity, all at
     DEFAULT_TOL.eq_abs, so every instance is a valid basis.  The elements are
     read-only views of one read-only matrix, ``augmented()``.
     """
 
-    dim: int
     elements: tuple
     labels: tuple
+    dim: int = field(init=False)
     _augmented: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        m, k = self.dim, self.dim**2 - 1
+        shapes = sorted({np.shape(w) for w in self.elements})
+        m = shapes[0][0] if shapes and shapes[0] else 0
+        if shapes != [(m, m)]:
+            raise BasisError(f"basis elements must share one square shape, got {shapes}")
+        k = m * m - 1
         if len(self.elements) != k:
             raise BasisError(f"dim {m} needs {k} elements, got {len(self.elements)}")
         if len(self.labels) != k:
             raise BasisError("one label per element required")
-        shapes = sorted({np.shape(w) for w in self.elements})
-        if shapes != [(m, m)]:
-            raise BasisError(f"basis elements must have shape {(m, m)}, got {shapes}")
         stack = np.array(self.elements, dtype=complex)
         eq = DEFAULT_TOL.eq_abs
         # Written as "not <=" so that NaN entries fail the checks.
@@ -49,6 +51,7 @@ class HermitianBasis:
             raise BasisError("basis must be Hilbert-Schmidt orthonormal")
         augmented = np.vstack((np.eye(m).ravel(), stack.reshape(k, m * m)))
         augmented.setflags(write=False)
+        object.__setattr__(self, "dim", m)
         object.__setattr__(self, "_augmented", augmented)
         object.__setattr__(self, "elements", tuple(self.stack()))
 
@@ -87,7 +90,7 @@ def gell_mann_basis(m: int) -> HermitianBasis:
         # i(|k><l| - |l><k|)/sqrt(2)
         stack[i + len(pairs), k, l] = 1j / _SQRT2
         stack[i + len(pairs), l, k] = -1j / _SQRT2
-    return HermitianBasis(dim=m, elements=tuple(stack), labels=tuple(labels))
+    return HermitianBasis(elements=tuple(stack), labels=tuple(labels))
 
 
 @lru_cache(maxsize=None)
@@ -111,4 +114,4 @@ def pauli_gell_mann_basis(m: int) -> HermitianBasis:
         -stack[index[lab]] if lab.startswith("antisymmetric") else stack[index[lab]]
         for lab in labels
     )
-    return HermitianBasis(dim=m, elements=elements, labels=tuple(labels))
+    return HermitianBasis(elements=elements, labels=tuple(labels))

@@ -17,23 +17,18 @@ class BlochForm:
     """Block correlation matrix C = [[Tr rho, S^T], [R, T]] of an operator on
     an m (x) n system, with R, S and T read as views of it.
 
-    Construction checks that the bases have dimensions (m, n) and that C is
-    a real, finite m^2 x n^2 matrix, and keeps one read-only float64 copy of
+    m and n are the dimensions of the bases. Construction checks that C is a
+    real, finite m^2 x n^2 matrix, and keeps one read-only float64 copy of
     it, so every screen reads a checked C. Its singular values and those of
     its screened blocks are computed once, on first use.
     """
 
-    m: int
-    n: int
     correlation: np.ndarray
     basis_a: HermitianBasis
     basis_b: HermitianBasis
 
     def __post_init__(self):
         m, n = self.m, self.n
-        if (self.basis_a.dim, self.basis_b.dim) != (m, n):
-            raise ShapeError(
-                f"bases have dims {(self.basis_a.dim, self.basis_b.dim)}, expected {(m, n)}")
         if np.iscomplexobj(self.correlation):
             raise ShapeError("correlation matrix must be real, got a complex array")
         c = _finite_matrix(np.array(self.correlation, dtype=float))
@@ -41,6 +36,14 @@ class BlochForm:
             raise ShapeError(f"correlation matrix must be {m * m}x{n * n}, got {c.shape}")
         c.flags.writeable = False
         object.__setattr__(self, "correlation", c)
+
+    @property
+    def m(self) -> int:
+        return self.basis_a.dim
+
+    @property
+    def n(self) -> int:
+        return self.basis_b.dim
 
     @property
     def R(self) -> np.ndarray:
@@ -111,7 +114,7 @@ def decompose(
     c = basis_a.augmented() @ (x @ basis_b.augmented().T)
     c[1:] *= m
     c[:, 1:] *= n
-    return BlochForm(m=m, n=n, correlation=c.real, basis_a=basis_a, basis_b=basis_b)
+    return BlochForm(c.real, basis_a, basis_b)
 
 
 def reconstruct(bf: BlochForm) -> np.ndarray:

@@ -17,15 +17,13 @@ from .linalg import DEFAULT_TOL, InvalidStateError, Tolerance, rank_of_spectrum,
 
 @dataclass(frozen=True, eq=False)
 class Verdict:
-    ruled_out: bool
     computed_rank: int
     threshold: int
     evidence: np.ndarray
 
-
-def _verdict(evidence: np.ndarray, threshold: int, rank: int) -> Verdict:
-    return Verdict(ruled_out=rank > threshold, computed_rank=rank, threshold=threshold,
-                   evidence=evidence)
+    @property
+    def ruled_out(self) -> bool:
+        return self.computed_rank > self.threshold
 
 
 # Every evidence matrix is a block of C = bf.correlation = [[Tr rho, S^T], [R, T]],
@@ -37,27 +35,23 @@ def _verdict(evidence: np.ndarray, threshold: int, rank: int) -> Verdict:
 
 def check_classical_quantum(bf: BlochForm, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Classical-quantum states have rank(R|T) at most m-1."""
-    rank = rank_of_spectrum(bf.screen_spectra[0], tol)
-    return _verdict(bf.correlation[1:, :], bf.m - 1, rank)
+    return Verdict(rank_of_spectrum(bf.screen_spectra[0], tol), bf.m - 1, bf.correlation[1:, :])
 
 
 def check_quantum_classical(bf: BlochForm, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Quantum-classical states have rank(S|T^T) at most n-1."""
-    rank = rank_of_spectrum(bf.screen_spectra[1], tol)
-    return _verdict(bf.correlation[:, 1:].T, bf.n - 1, rank)
+    return Verdict(rank_of_spectrum(bf.screen_spectra[1], tol), bf.n - 1, bf.correlation[:, 1:].T)
 
 
 def check_classical_classical(bf: BlochForm, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Classical-classical states have rank [[Tr rho, S^T], [R, T]] at most min(m, n)."""
-    rank = rank_of_spectrum(bf.correlation_spectrum, tol)
-    return _verdict(bf.correlation, min(bf.m, bf.n), rank)
+    return Verdict(rank_of_spectrum(bf.correlation_spectrum, tol), min(bf.m, bf.n), bf.correlation)
 
 
 def dakic_condition(bf: BlochForm, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Baseline screen: classical-quantum states have block correlation
     matrix rank at most m.  Strictly weaker than check_classical_quantum."""
-    rank = rank_of_spectrum(bf.correlation_spectrum, tol)
-    return _verdict(bf.correlation, bf.m, rank)
+    return Verdict(rank_of_spectrum(bf.correlation_spectrum, tol), bf.m, bf.correlation)
 
 
 # The four verdicts of a state, by name, in report order.
@@ -112,9 +106,12 @@ class BellDiagonalSpec:
 
 @dataclass(frozen=True)
 class BellDiagonalVerdict:
-    quantum_quantum: bool
     separable: bool
     nonzero_correlations: int
+
+    @property
+    def quantum_quantum(self) -> bool:
+        return self.nonzero_correlations > 1
 
 
 def classify_bell_diagonal(
@@ -137,9 +134,5 @@ def classify_bell_diagonal(
         )
     t = np.abs(spec.as_vector())
     nonzero = rank_of_spectrum(np.sort(t)[::-1], tol)
-    separable = float(t.sum()) <= 1.0 + tol.eq_abs
-    return BellDiagonalVerdict(
-        quantum_quantum=nonzero > 1,
-        separable=separable,
-        nonzero_correlations=nonzero,
-    )
+    return BellDiagonalVerdict(separable=float(t.sum()) <= 1.0 + tol.eq_abs,
+                               nonzero_correlations=nonzero)

@@ -71,9 +71,9 @@ def load_state(path: str):
     return m, n, pairs_to_matrix(doc["rho"], m * n, m * n)
 
 
-def load_unitary(path: str, dim: int | None = None) -> np.ndarray:
-    doc = _load_object(path, ("m", "u") if dim is None else ("u",))
-    m = _dimension(doc["m"], "'m'") if dim is None else _dimension(dim, "--dim")
+def load_unitary(path: str) -> np.ndarray:
+    doc = _load_object(path, ("m", "u"))
+    m = _dimension(doc["m"], "'m'")
     return pairs_to_matrix(doc["u"], m, m)
 
 
@@ -112,7 +112,7 @@ def cmd_basis(args) -> int:
 
 def cmd_lift(args) -> int:
     tol = Tolerance(args.tol_rank, args.tol_eq)
-    u = load_unitary(args.unitary, args.dim)
+    u = load_unitary(args.unitary)
     meas = from_unitary(u, tol)
     lifted = lift_matrix(meas, gell_mann_basis(meas.dim), tol)
     rank = numerical_rank(lifted.matrix, tol)
@@ -193,9 +193,6 @@ def cmd_selftest(args) -> int:
     seed = args.seed
     rows = []
 
-    def record(name, ok):
-        rows.append((name, ok))
-
     # A HermitianBasis checks itself on construction, so a broken basis raises
     # BasisError: FAIL here, and exit 2 from the rows below that use it.
     for m in _SELFTEST_DIMS:
@@ -203,7 +200,7 @@ def cmd_selftest(args) -> int:
             ok = gell_mann_basis(m).dim == m
         except BasisError:
             ok = False
-        record(f"basis orthonormal m={m}", ok)
+        rows.append((f"basis orthonormal m={m}", ok))
 
     # Every lifted measurement M is idempotent, M and the coefficient matrices
     # C and C0 have rank m - 1, and the channel matches C.
@@ -223,8 +220,8 @@ def cmd_selftest(args) -> int:
                   and consist <= MAX_CONSISTENCY_RESIDUAL)
             worst_defect = max(worst_defect, defect)
             worst_consist = max(worst_consist, consist)
-        record(f"lift m={m}, {_LIFT_SAMPLES} unitaries: ranks M, C, C0 = m-1, "
-               f"max defect {worst_defect:.3e}, max consistency {worst_consist:.3e}", ok)
+        rows.append((f"lift m={m}, {_LIFT_SAMPLES} unitaries: ranks M, C, C0 = m-1, "
+                     f"max defect {worst_defect:.3e}, max consistency {worst_consist:.3e}", ok))
 
     ok_cq = True
     ok_cc = True
@@ -236,12 +233,12 @@ def cmd_selftest(args) -> int:
         if any(verdicts[name].ruled_out
                for name in ("classical_quantum", "quantum_classical", "classical_classical")):
             ok_cc = False
-    record("no false rule-outs on constructed classical-quantum states", ok_cq)
-    record("no false rule-outs on constructed classical-classical states", ok_cc)
+    rows.append(("no false rule-outs on constructed classical-quantum states", ok_cq))
+    rows.append(("no false rule-outs on constructed classical-classical states", ok_cc))
 
     rho = random_classical_quantum(2, 2, seed + 7)
     rep = invariance_search(rho, 2, 2, side="left", trials=50, seed=seed)
-    record("invariance oracle finds the generating basis", rep.best_residual <= 1e-10)
+    rows.append(("invariance oracle finds the generating basis", rep.best_residual <= 1e-10))
 
     octahedron = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (0, 0, 0)]
     ok_bell = all(
@@ -249,7 +246,7 @@ def cmd_selftest(args) -> int:
         for t in octahedron
     )
     ok_bell = ok_bell and classify_bell_diagonal(BellDiagonalSpec(0.5, 0.3, 0.0), tol).quantum_quantum
-    record("Bell-diagonal classification on reference points", ok_bell)
+    rows.append(("Bell-diagonal classification on reference points", ok_bell))
 
     width = max(len(name) for name, _ in rows)
     failures = 0
@@ -281,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lift", help="lift a measurement unitary and report rank")
     p.add_argument("unitary")
-    p.add_argument("--dim", type=int, default=None)
     add_tol(p)
     p.set_defaults(func=cmd_lift)
 

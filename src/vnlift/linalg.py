@@ -165,7 +165,10 @@ def validate_density(rho, tol: Tolerance = DEFAULT_TOL) -> DensityReport:
     # One adjoint serves _is_hermitian's test and the symmetrisation.
     rho_dag = rho.conj().T
     herm = bool(np.abs(rho - rho_dag).max(initial=0.0) <= tol.eq_abs)
-    unit_trace = abs(np.trace(rho) - 1.0) <= tol.eq_abs
+    # np.trace warns when a finite trace overflows; a Python sum does not. abs(t)
+    # raises OverflowError when both parts of t are huge: test the real one first.
+    t = sum(rho.diagonal().tolist()) - 1.0
+    unit_trace = abs(t.real) <= tol.eq_abs and abs(t) <= tol.eq_abs
     # The factorisation reads one triangle only; symmetrizing makes that the
     # same matrix whose smallest eigenvalue min_eigenvalue reports. Halving
     # before the sum keeps a finite rho's sym finite.
@@ -179,4 +182,4 @@ def validate_density(rho, tol: Tolerance = DEFAULT_TOL) -> DensityReport:
         psd = True
     except np.linalg.LinAlgError:
         psd = False
-    return DensityReport(hermitian=herm, unit_trace=bool(unit_trace), psd=psd, symmetrized=sym)
+    return DensityReport(hermitian=herm, unit_trace=unit_trace, psd=psd, symmetrized=sym)

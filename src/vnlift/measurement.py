@@ -25,8 +25,11 @@ class VonNeumannMeasurement:
     vector, so the projectors are the outer products of the rows.
     """
 
-    dim: int
     unitary: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return len(self.unitary)
 
     def projectors(self) -> np.ndarray:
         """(m, m, m) array; slice i is |phi_i><phi_i|."""
@@ -39,7 +42,6 @@ class LiftedMeasurement:
     """Real (m^2-1) x (m^2-1) matrix representing a measurement's action on
     an orthonormal traceless-Hermitian basis; idempotent with rank m-1."""
 
-    dim: int
     matrix: np.ndarray
 
     @property
@@ -49,7 +51,7 @@ class LiftedMeasurement:
 
 def from_unitary(a, tol: Tolerance = DEFAULT_TOL) -> VonNeumannMeasurement:
     a = check_unitary(a, tol)
-    return VonNeumannMeasurement(dim=a.shape[0], unitary=a)
+    return VonNeumannMeasurement(a)
 
 
 def _outer_rows(u: np.ndarray) -> np.ndarray:
@@ -80,7 +82,7 @@ def lift_matrix(
     if imag > tol.eq_abs:
         raise ValueError(f"lifted matrix has imaginary residue {imag:.3e}")
     d = d.real
-    return LiftedMeasurement(dim=meas.dim, matrix=d.T @ d)
+    return LiftedMeasurement(d.T @ d)
 
 
 def _checked_unitary(a, tol: Tolerance) -> np.ndarray:

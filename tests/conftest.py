@@ -46,8 +46,7 @@ def bloch_form(r, s, t, basis_a, basis_b) -> BlochForm:
     """Bloch form whose C = [[1, S^T], [R, T]] is assembled from R, S and T."""
     r, s, t = (np.asarray(x, dtype=float) for x in (r, s, t))
     c = np.block([[np.ones((1, 1)), s[np.newaxis]], [r[:, np.newaxis], t]])
-    return BlochForm(m=basis_a.dim, n=basis_b.dim, correlation=c, basis_a=basis_a,
-                     basis_b=basis_b)
+    return BlochForm(correlation=c, basis_a=basis_a, basis_b=basis_b)
 
 
 @pytest.fixture

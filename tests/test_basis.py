@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -141,21 +143,30 @@ def _invalid_elements(case):
 def test_construction_rejects_invalid_element(case):
     elements, property_name = _invalid_elements(case)
     with pytest.raises(BasisError, match=property_name):
-        HermitianBasis(dim=2, elements=elements, labels=gell_mann_basis(2).labels)
+        HermitianBasis(elements=elements, labels=gell_mann_basis(2).labels)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_dimension_is_read_from_the_elements(m):
+    b = gell_mann_basis(m)
+    rebuilt = HermitianBasis(elements=b.elements, labels=b.labels)
+    assert b.dim == rebuilt.dim == m
+    assert np.array_equal(rebuilt.augmented(), b.augmented())
+    assert [f.name for f in dataclasses.fields(HermitianBasis) if f.init] == ["elements", "labels"]
 
 
 def test_verify_rejects_doubled_element():
     b = gell_mann_basis(2)
     with pytest.raises(BasisError, match="orthonormal"):
-        HermitianBasis(dim=2, elements=_replace_first(b, 2 * b.elements[0]), labels=b.labels)
+        HermitianBasis(elements=_replace_first(b, 2 * b.elements[0]), labels=b.labels)
 
 
 def test_construction_rejects_wrong_counts():
     b = gell_mann_basis(2)
     with pytest.raises(BasisError):
-        HermitianBasis(dim=2, elements=b.elements[:2], labels=b.labels[:2])
+        HermitianBasis(elements=b.elements[:2], labels=b.labels[:2])
     with pytest.raises(BasisError):
-        HermitianBasis(dim=2, elements=b.elements, labels=b.labels[:2])
+        HermitianBasis(elements=b.elements, labels=b.labels[:2])
 
 
 def householder(v):
@@ -169,7 +180,7 @@ def test_householder_rotated_basis_constructs(seed):
     rng = np.random.default_rng(seed)
     o = householder(rng.standard_normal(8))
     rotated = np.einsum("iab,ij->jab", gell_mann_basis(3).stack(), o)
-    b = HermitianBasis(dim=3, elements=tuple(rotated), labels=tuple(map(str, range(8))))
+    b = HermitianBasis(elements=tuple(rotated), labels=tuple(map(str, range(8))))
     assert_gram_identity(b)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -186,10 +188,10 @@ def test_correlation_matrix_maximally_mixed():
 
 def test_bloch_form_keeps_one_read_only_copy():
     c = np.array([[1.0, 0, 0, 2], [0, 3, 0, 0], [0, 0, 0, 0], [4, 0, 0, 5]])
-    bf = BlochForm(m=2, n=2, correlation=c, basis_a=B2, basis_b=B2)
+    bf = BlochForm(correlation=c, basis_a=B2, basis_b=B2)
     c[1, 1] = 9.0
     assert bf.correlation[1, 1] == 3.0
-    ints = BlochForm(m=2, n=2, correlation=c.astype(int), basis_a=B2, basis_b=B2)
+    ints = BlochForm(correlation=c.astype(int), basis_a=B2, basis_b=B2)
     assert ints.correlation.dtype == np.float64
     assert np.array_equal(bf.R, [0, 0, 4]) and np.array_equal(bf.S, [0, 0, 2])
     assert np.array_equal(bf.T, np.diag([3, 0, 5]))
@@ -198,6 +200,13 @@ def test_bloch_form_keeps_one_read_only_copy():
     for arr in (bf.correlation, bf.R, bf.S, bf.T):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
+
+
+def test_bloch_form_reads_its_dimensions_from_the_bases():
+    bf = BlochForm(correlation=np.zeros((9, 4)), basis_a=gell_mann_basis(3), basis_b=B2)
+    assert (bf.m, bf.n) == (3, 2)
+    assert ([f.name for f in dataclasses.fields(BlochForm)]
+            == ["correlation", "basis_a", "basis_b"])
 
 
 @pytest.mark.parametrize(
@@ -214,4 +223,4 @@ def test_bloch_form_keeps_one_read_only_copy():
 def test_bloch_form_rejects_a_malformed_correlation(c, match):
     # A complex C is refused even with zero imaginary part, rather than cast.
     with pytest.raises(ShapeError, match=match):
-        BlochForm(m=2, n=2, correlation=c, basis_a=B2, basis_b=B2)
+        BlochForm(correlation=c, basis_a=B2, basis_b=B2)

@@ -1,13 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from vnlift import (
     BasisError,
     BellDiagonalSpec,
+    BellDiagonalVerdict,
     BlochForm,
     HermitianBasis,
     InvalidStateError,
     ShapeError,
+    Verdict,
     check_classical_classical,
     check_classical_quantum,
     check_quantum_classical,
@@ -349,22 +353,40 @@ def test_hand_built_bloch_form_runs_every_screen():
     assert ranks == [2, 2, 3, 3]
     assert [screen(bf).ruled_out for screen in SCREENS] == [True, True, True, True]
     assert np.array_equal(bf.correlation, np.diag([1.0, 0.3, 0.4, 0.0]))
-    # A form whose bases do not match its dimensions is refused when it is built.
-    with pytest.raises(ShapeError, match=r"bases have dims \(2, 2\), expected \(3, 2\)"):
-        BlochForm(m=3, n=2, correlation=np.zeros((9, 4)), basis_a=b, basis_b=b)
+    # m and n are the bases' dimensions, and a C whose shape does not match
+    # the bases is refused when it is built.
+    assert (bf.m, bf.n) == (2, 2)
+    with pytest.raises(ShapeError, match=r"must be 4x4, got \(9, 4\)"):
+        BlochForm(correlation=np.zeros((9, 4)), basis_a=b, basis_b=b)
+
+
+def test_verdicts_derive_their_outcome():
+    # A rank above the threshold rules the class out; more than one nonzero
+    # correlation makes a Bell-diagonal state quantum-quantum.
+    evidence = np.zeros((1, 1))
+    assert [Verdict(rank, 2, evidence).ruled_out for rank in (0, 2, 3)] == [False, False, True]
+    assert ([BellDiagonalVerdict(True, k).quantum_quantum for k in range(4)]
+            == [False, False, True, True])
+    assert ([f.name for f in dataclasses.fields(Verdict)]
+            == ["computed_rank", "threshold", "evidence"])
+    assert ([f.name for f in dataclasses.fields(BellDiagonalVerdict)]
+            == ["separable", "nonzero_correlations"])
 
 
 def test_one_sided_screens_refuse_an_empty_block():
     # At m = 1, (R|T) would have no rows; at n = 1, (S|T^T) none. No such form
-    # reaches a screen: a basis has dimension at least 2, and a form whose
-    # bases do not have dimensions (m, n) is refused when it is built.
+    # reaches a screen: m and n are the dimensions of its bases, a basis has
+    # dimension at least 2, and a C whose shape does not match the bases is
+    # refused when it is built.
     b = gell_mann_basis(2)
-    with pytest.raises(ShapeError, match="expected"):
-        BlochForm(m=1, n=2, correlation=np.zeros((1, 4)), basis_a=b, basis_b=b)
-    with pytest.raises(ShapeError, match="expected"):
-        BlochForm(m=2, n=1, correlation=np.zeros((4, 1)), basis_a=b, basis_b=b)
-    with pytest.raises(BasisError):
-        HermitianBasis(dim=1, elements=(), labels=())
+    with pytest.raises(ShapeError, match=r"must be 4x4, got \(1, 4\)"):
+        BlochForm(correlation=np.zeros((1, 4)), basis_a=b, basis_b=b)
+    with pytest.raises(ShapeError, match=r"must be 4x4, got \(4, 1\)"):
+        BlochForm(correlation=np.zeros((4, 1)), basis_a=b, basis_b=b)
+    with pytest.raises(BasisError, match="one square shape"):
+        HermitianBasis(elements=(), labels=())
+    with pytest.raises(BasisError, match="dim 1 needs 0 elements"):
+        HermitianBasis(elements=(np.eye(1),), labels=("identity",))
     with pytest.raises(ValueError, match="dimension >= 2"):
         gell_mann_basis(1)
 

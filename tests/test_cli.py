@@ -164,14 +164,16 @@ def test_classify_invalid_density_exits_2(tmp_path, capsys):
 
 
 def test_classify_overflowing_state_fails_density_validation(tmp_path, capsys):
-    # Finite entries whose sum rho + rho^dag would overflow to inf.
+    # Finite entries whose sum rho + rho^dag, and whose trace, would overflow
+    # to inf. pytest turns a numpy RuntimeWarning into an error, so neither
+    # may warn before the CLI's one error line.
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"m": 2, "n": 2, "rho": [[1e308, 0.0]] * 16}))
-    with np.errstate(over="ignore"):
-        status, out = run_cli("classify", str(path))
+    status, out = run_cli("classify", str(path))
     assert status == 2 and out == ""
-    assert capsys.readouterr().err.startswith(
-        "error: state fails density validation: hermitian=True unit_trace=False ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: state fails density validation: hermitian=True unit_trace=False ")
+    assert err.count("\n") == 1
 
 
 def test_classify_reads_a_near_hermitian_state_as_its_hermitian_part(tmp_path):
@@ -241,11 +243,11 @@ MAXIMALLY_MIXED_PAIRS = matrix_to_pairs(np.eye(4) / 4.0)
         ("classify", {"m": 0, "n": 2, "rho": []}, "'m'"),
         ("classify", {"m": 2, "n": -2, "rho": MAXIMALLY_MIXED_PAIRS}, "'n'"),
         ("lift", [1, 2], "JSON object"),
-        ("lift --dim -1", {"u": matrix_to_pairs(np.eye(2))}, "--dim"),
-        ("lift --dim 0", {"u": []}, "--dim"),
+        ("lift", {"m": -1, "u": matrix_to_pairs(np.eye(2))}, "'m'"),
+        ("lift", {"m": 0, "u": []}, "'m'"),
     ],
     ids=["state_array", "m_null", "m_float", "n_bool", "rho_objects", "m_negative", "m_zero",
-         "n_negative", "lift_array", "dim_negative", "dim_zero"],
+         "n_negative", "lift_array", "lift_m_negative", "lift_m_zero"],
 )
 def test_malformed_document_exits_2(tmp_path, capsys, command, doc, named):
     path = tmp_path / "doc.json"
@@ -254,6 +256,13 @@ def test_malformed_document_exits_2(tmp_path, capsys, command, doc, named):
     assert status == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
+
+
+def test_lift_dim_is_an_unknown_option(capsys):
+    # lift reads the dimension from the file's 'm' only.
+    status, out = run_cli("lift", os.path.join(FIXDIR, "hadamard2.json"), "--dim", "2")
+    assert status == 2 and out == ""
+    assert "error: unrecognized arguments: --dim 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from vnlift import (
     BasisError,
     HermitianBasis,
+    LiftedMeasurement,
     ShapeError,
     UnitarityError,
+    VonNeumannMeasurement,
     build_C,
     build_C0,
     consistency_check,
@@ -99,11 +103,24 @@ def test_lift_rejects_dimension_mismatch():
         lift_matrix(from_unitary(np.eye(2)), gell_mann_basis(3))
 
 
+def test_measurement_reads_its_dimension_from_the_unitary():
+    # A measurement built directly, not through from_unitary, still has the
+    # unitary's dimension, so a basis of another dimension is refused by name
+    # before numpy sees the two shapes.
+    meas = VonNeumannMeasurement(np.eye(2))
+    assert meas.dim == 2
+    for apply in (lift_matrix, consistency_check):
+        with pytest.raises(ShapeError, match="basis dim 3 != measurement dim 2"):
+            apply(meas, gell_mann_basis(3))
+    assert [f.name for f in dataclasses.fields(VonNeumannMeasurement)] == ["unitary"]
+    assert [f.name for f in dataclasses.fields(LiftedMeasurement)] == ["matrix"]
+
+
 def test_lift_rejects_non_orthonormal_basis():
     # A non-orthonormal basis never reaches lift_matrix: construction rejects it.
     b = gell_mann_basis(2)
     with pytest.raises(BasisError):
-        bad = HermitianBasis(dim=2, elements=(2 * b.elements[0],) + b.elements[1:], labels=b.labels)
+        bad = HermitianBasis(elements=(2 * b.elements[0],) + b.elements[1:], labels=b.labels)
         lift_matrix(from_unitary(np.eye(2)), bad)
 
 
@@ -115,7 +132,6 @@ def test_lift_basis_covariance():
     v = rng.standard_normal(8)
     o = np.eye(8) - 2.0 * np.outer(v, v) / (v @ v)
     rotated = HermitianBasis(
-        dim=3,
         elements=tuple(np.einsum("iab,ij->jab", b.stack(), o)),
         labels=tuple(f"rotated({j})" for j in range(8)),
     )
