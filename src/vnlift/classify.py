@@ -17,13 +17,15 @@ from .linalg import DEFAULT_TOL, InvalidStateError, Tolerance, rank_of_spectrum,
 
 @dataclass(frozen=True, eq=False)
 class Verdict:
+    ruled_out: bool
     computed_rank: int
     threshold: int
     evidence: np.ndarray
 
-    @property
-    def ruled_out(self) -> bool:
-        return self.computed_rank > self.threshold
+
+def _verdict(evidence: np.ndarray, threshold: int, rank: int) -> Verdict:
+    return Verdict(ruled_out=rank > threshold, computed_rank=rank, threshold=threshold,
+                   evidence=evidence)
 
 
 # Every evidence matrix is a block of C = bf.correlation = [[Tr rho, S^T], [R, T]],
@@ -35,23 +37,27 @@ class Verdict:
 
 def check_classical_quantum(bf: BlochForm, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Classical-quantum states have rank(R|T) at most m-1."""
-    return Verdict(rank_of_spectrum(bf.screen_spectra[0], tol), bf.m - 1, bf.correlation[1:, :])
+    rank = rank_of_spectrum(bf.screen_spectra[0], tol)
+    return _verdict(bf.correlation[1:, :], bf.m - 1, rank)
 
 
 def check_quantum_classical(bf: BlochForm, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Quantum-classical states have rank(S|T^T) at most n-1."""
-    return Verdict(rank_of_spectrum(bf.screen_spectra[1], tol), bf.n - 1, bf.correlation[:, 1:].T)
+    rank = rank_of_spectrum(bf.screen_spectra[1], tol)
+    return _verdict(bf.correlation[:, 1:].T, bf.n - 1, rank)
 
 
 def check_classical_classical(bf: BlochForm, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Classical-classical states have rank [[Tr rho, S^T], [R, T]] at most min(m, n)."""
-    return Verdict(rank_of_spectrum(bf.correlation_spectrum, tol), min(bf.m, bf.n), bf.correlation)
+    rank = rank_of_spectrum(bf.correlation_spectrum, tol)
+    return _verdict(bf.correlation, min(bf.m, bf.n), rank)
 
 
 def dakic_condition(bf: BlochForm, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Baseline screen: classical-quantum states have block correlation
     matrix rank at most m.  Strictly weaker than check_classical_quantum."""
-    return Verdict(rank_of_spectrum(bf.correlation_spectrum, tol), bf.m, bf.correlation)
+    rank = rank_of_spectrum(bf.correlation_spectrum, tol)
+    return _verdict(bf.correlation, bf.m, rank)
 
 
 # The four verdicts of a state, by name, in report order.
@@ -134,5 +140,5 @@ def classify_bell_diagonal(
         )
     t = np.abs(spec.as_vector())
     nonzero = rank_of_spectrum(np.sort(t)[::-1], tol)
-    return BellDiagonalVerdict(separable=float(t.sum()) <= 1.0 + tol.eq_abs,
-                               nonzero_correlations=nonzero)
+    separable = float(t.sum()) <= 1.0 + tol.eq_abs
+    return BellDiagonalVerdict(separable=separable, nonzero_correlations=nonzero)

@@ -193,6 +193,9 @@ def cmd_selftest(args) -> int:
     seed = args.seed
     rows = []
 
+    def record(name, ok):
+        rows.append((name, ok))
+
     # A HermitianBasis checks itself on construction, so a broken basis raises
     # BasisError: FAIL here, and exit 2 from the rows below that use it.
     for m in _SELFTEST_DIMS:
@@ -200,7 +203,7 @@ def cmd_selftest(args) -> int:
             ok = gell_mann_basis(m).dim == m
         except BasisError:
             ok = False
-        rows.append((f"basis orthonormal m={m}", ok))
+        record(f"basis orthonormal m={m}", ok)
 
     # Every lifted measurement M is idempotent, M and the coefficient matrices
     # C and C0 have rank m - 1, and the channel matches C.
@@ -220,8 +223,8 @@ def cmd_selftest(args) -> int:
                   and consist <= MAX_CONSISTENCY_RESIDUAL)
             worst_defect = max(worst_defect, defect)
             worst_consist = max(worst_consist, consist)
-        rows.append((f"lift m={m}, {_LIFT_SAMPLES} unitaries: ranks M, C, C0 = m-1, "
-                     f"max defect {worst_defect:.3e}, max consistency {worst_consist:.3e}", ok))
+        record(f"lift m={m}, {_LIFT_SAMPLES} unitaries: ranks M, C, C0 = m-1, "
+               f"max defect {worst_defect:.3e}, max consistency {worst_consist:.3e}", ok)
 
     ok_cq = True
     ok_cc = True
@@ -233,12 +236,12 @@ def cmd_selftest(args) -> int:
         if any(verdicts[name].ruled_out
                for name in ("classical_quantum", "quantum_classical", "classical_classical")):
             ok_cc = False
-    rows.append(("no false rule-outs on constructed classical-quantum states", ok_cq))
-    rows.append(("no false rule-outs on constructed classical-classical states", ok_cc))
+    record("no false rule-outs on constructed classical-quantum states", ok_cq)
+    record("no false rule-outs on constructed classical-classical states", ok_cc)
 
     rho = random_classical_quantum(2, 2, seed + 7)
     rep = invariance_search(rho, 2, 2, side="left", trials=50, seed=seed)
-    rows.append(("invariance oracle finds the generating basis", rep.best_residual <= 1e-10))
+    record("invariance oracle finds the generating basis", rep.best_residual <= 1e-10)
 
     octahedron = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1), (0, 0, 0)]
     ok_bell = all(
@@ -246,7 +249,7 @@ def cmd_selftest(args) -> int:
         for t in octahedron
     )
     ok_bell = ok_bell and classify_bell_diagonal(BellDiagonalSpec(0.5, 0.3, 0.0), tol).quantum_quantum
-    rows.append(("Bell-diagonal classification on reference points", ok_bell))
+    record("Bell-diagonal classification on reference points", ok_bell)
 
     width = max(len(name) for name, _ in rows)
     failures = 0

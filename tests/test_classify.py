@@ -11,7 +11,6 @@ from vnlift import (
     HermitianBasis,
     InvalidStateError,
     ShapeError,
-    Verdict,
     check_classical_classical,
     check_classical_quantum,
     check_quantum_classical,
@@ -360,15 +359,10 @@ def test_hand_built_bloch_form_runs_every_screen():
         BlochForm(correlation=np.zeros((9, 4)), basis_a=b, basis_b=b)
 
 
-def test_verdicts_derive_their_outcome():
-    # A rank above the threshold rules the class out; more than one nonzero
-    # correlation makes a Bell-diagonal state quantum-quantum.
-    evidence = np.zeros((1, 1))
-    assert [Verdict(rank, 2, evidence).ruled_out for rank in (0, 2, 3)] == [False, False, True]
+def test_bell_diagonal_verdict_derives_its_outcome():
+    # More than one nonzero correlation makes a Bell-diagonal state quantum-quantum.
     assert ([BellDiagonalVerdict(True, k).quantum_quantum for k in range(4)]
             == [False, False, True, True])
-    assert ([f.name for f in dataclasses.fields(Verdict)]
-            == ["computed_rank", "threshold", "evidence"])
     assert ([f.name for f in dataclasses.fields(BellDiagonalVerdict)]
             == ["separable", "nonzero_correlations"])
 
