@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import HermitianBasis
-from .linalg import DEFAULT_TOL, ShapeError, Tolerance, _finite_matrix, _is_hermitian, as_state
+from .linalg import DEFAULT_TOL, ShapeError, Tolerance, _finite_matrix, _hermitian_half, as_state
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,12 +108,14 @@ def decompose(
     """
     m, n = basis_a.dim, basis_b.dim
     rho = as_state(rho, m, n)
-    if not _is_hermitian(rho, tol):
+    if not _hermitian_half(rho, tol)[0]:
         raise ValueError("state is not Hermitian within tolerance")
     x = rho.reshape(m, n, m, n).transpose(2, 0, 3, 1).reshape(m * m, n * n)
-    c = basis_a.augmented() @ (x @ basis_b.augmented().T)
-    c[1:] *= m
-    c[:, 1:] *= n
+    # An overflowing product leaves a non-finite C, which BlochForm refuses unwarned.
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = basis_a.augmented() @ (x @ basis_b.augmented().T)
+        c[1:] *= m
+        c[:, 1:] *= n
     return BlochForm(c.real, basis_a, basis_b)
 
 

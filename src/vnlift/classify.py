@@ -15,20 +15,22 @@ from .bloch import BlochForm, decompose
 from .linalg import DEFAULT_TOL, InvalidStateError, Tolerance, rank_of_spectrum, validate_density
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Verdict:
+    """One screen's outcome; every screen sets ruled_out = computed_rank > threshold.
+    It holds no array, so it compares and hashes by value."""
+
     ruled_out: bool
     computed_rank: int
     threshold: int
-    evidence: np.ndarray
 
 
-def _verdict(evidence: np.ndarray, threshold: int, rank: int) -> Verdict:
-    return Verdict(ruled_out=rank > threshold, computed_rank=rank, threshold=threshold,
-                   evidence=evidence)
+def _verdict(spectrum: np.ndarray, threshold: int, tol: Tolerance) -> Verdict:
+    rank = rank_of_spectrum(spectrum, tol)
+    return Verdict(ruled_out=rank > threshold, computed_rank=rank, threshold=threshold)
 
 
-# Every evidence matrix is a block of C = bf.correlation = [[Tr rho, S^T], [R, T]],
+# Every screened matrix is a block of C = bf.correlation = [[Tr rho, S^T], [R, T]],
 # which is linear in rho, so no rank depends on Tr rho (1 for a state). Every
 # rank is counted on a row of bf.screen_spectra, which one batched SVD fills on
 # first use. A BlochForm checked C when it was built, and its bases have
@@ -37,27 +39,23 @@ def _verdict(evidence: np.ndarray, threshold: int, rank: int) -> Verdict:
 
 def check_classical_quantum(bf: BlochForm, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Classical-quantum states have rank(R|T) at most m-1."""
-    rank = rank_of_spectrum(bf.screen_spectra[0], tol)
-    return _verdict(bf.correlation[1:, :], bf.m - 1, rank)
+    return _verdict(bf.screen_spectra[0], bf.m - 1, tol)
 
 
 def check_quantum_classical(bf: BlochForm, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Quantum-classical states have rank(S|T^T) at most n-1."""
-    rank = rank_of_spectrum(bf.screen_spectra[1], tol)
-    return _verdict(bf.correlation[:, 1:].T, bf.n - 1, rank)
+    return _verdict(bf.screen_spectra[1], bf.n - 1, tol)
 
 
 def check_classical_classical(bf: BlochForm, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Classical-classical states have rank [[Tr rho, S^T], [R, T]] at most min(m, n)."""
-    rank = rank_of_spectrum(bf.correlation_spectrum, tol)
-    return _verdict(bf.correlation, min(bf.m, bf.n), rank)
+    return _verdict(bf.correlation_spectrum, min(bf.m, bf.n), tol)
 
 
 def dakic_condition(bf: BlochForm, tol: Tolerance = DEFAULT_TOL) -> Verdict:
     """Baseline screen: classical-quantum states have block correlation
     matrix rank at most m.  Strictly weaker than check_classical_quantum."""
-    rank = rank_of_spectrum(bf.correlation_spectrum, tol)
-    return _verdict(bf.correlation, bf.m, rank)
+    return _verdict(bf.correlation_spectrum, bf.m, tol)
 
 
 # The four verdicts of a state, by name, in report order.

@@ -114,7 +114,7 @@ def cmd_lift(args) -> int:
     tol = Tolerance(args.tol_rank, args.tol_eq)
     u = load_unitary(args.unitary)
     meas = from_unitary(u, tol)
-    lifted = lift_matrix(meas, gell_mann_basis(meas.dim), tol)
+    lifted = lift_matrix(meas, gell_mann_basis(meas.dim))
     rank = numerical_rank(lifted.matrix, tol)
     defect = lifted.idempotency_defect
     doc = {
@@ -214,7 +214,7 @@ def cmd_selftest(args) -> int:
         for k in range(_LIFT_SAMPLES):
             u = random_unitary(m, seed + 1_000_000 * m + k)
             meas = from_unitary(u, tol)
-            lifted = lift_matrix(meas, b, tol)
+            lifted = lift_matrix(meas, b)
             defect = lifted.idempotency_defect
             consist = consistency_check(meas, b)
             ranks = {numerical_rank(a, tol) for a in (lifted.matrix, build_C(u, tol),

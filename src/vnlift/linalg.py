@@ -100,9 +100,12 @@ def numerical_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
     return rank_of_spectrum(singular_values(a), tol)
 
 
-def _is_hermitian(a: np.ndarray, tol: Tolerance) -> bool:
-    """Hermiticity of a square matrix that ``as_matrix`` already returned."""
-    return bool(np.abs(a - a.conj().T).max(initial=0.0) <= tol.eq_abs)
+def _hermitian_half(a: np.ndarray, tol: Tolerance) -> tuple[bool, np.ndarray]:
+    """(|a - a^dag| <= eq_abs entrywise, a / 2) for a square ``as_matrix`` result.
+    Tested as |a/2 - a^dag/2| <= eq_abs/2, which cannot overflow for a finite
+    a; halving is exact away from subnormal numbers, so the criterion is the same."""
+    half = a * 0.5
+    return bool(np.abs(half - half.conj().T).max(initial=0.0) <= tol.eq_abs / 2), half
 
 
 def check_unitary(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -162,18 +165,15 @@ def validate_density(rho, tol: Tolerance = DEFAULT_TOL) -> DensityReport:
     rho = as_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise ShapeError(f"density matrix must be square, got {rho.shape}")
-    # One adjoint serves _is_hermitian's test and the symmetrisation.
-    rho_dag = rho.conj().T
-    herm = bool(np.abs(rho - rho_dag).max(initial=0.0) <= tol.eq_abs)
+    herm, sym = _hermitian_half(rho, tol)
     # np.trace warns when a finite trace overflows; a Python sum does not. abs(t)
     # raises OverflowError when both parts of t are huge: test the real one first.
     t = sum(rho.diagonal().tolist()) - 1.0
     unit_trace = abs(t.real) <= tol.eq_abs and abs(t) <= tol.eq_abs
     # The factorisation reads one triangle only; symmetrizing makes that the
-    # same matrix whose smallest eigenvalue min_eigenvalue reports. Halving
-    # before the sum keeps a finite rho's sym finite.
-    sym = rho * 0.5
-    sym += rho_dag * 0.5
+    # same matrix whose smallest eigenvalue min_eigenvalue reports. sym is
+    # rho / 2, so a finite rho gives a finite rho / 2 + rho^dag / 2.
+    sym += sym.conj().T
     sym.flags.writeable = False
     shifted = sym.copy()
     shifted.reshape(-1)[:: rho.shape[0] + 1] += tol.eq_abs

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Tolerance, as_state
-from .measurement import VonNeumannMeasurement, from_unitary
+from .linalg import as_state
+from .measurement import VonNeumannMeasurement
 
 _DEGENERACY_GAP = 1e-6
 
@@ -321,9 +321,10 @@ def invariance_search(
                 best_unit = units[k].copy()
         # Released before the next chunk is drawn.
         del units
+    # eigh's eigenvectors and the Gram-Schmidt candidates are unitary to round-off.
     return InvarianceReport(
         best_residual=best_residual,
-        best_measurement=from_unitary(best_unit, Tolerance(eq_abs=1e-8)),
+        best_measurement=VonNeumannMeasurement(best_unit),
         trials=trials,
         reduced_spectrum_degenerate=degenerate,
         best_trial=best,

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import settings
 
 from vnlift import DEFAULT_TOL, BlochForm
@@ -47,8 +46,3 @@ def bloch_form(r, s, t, basis_a, basis_b) -> BlochForm:
     r, s, t = (np.asarray(x, dtype=float) for x in (r, s, t))
     c = np.block([[np.ones((1, 1)), s[np.newaxis]], [r[:, np.newaxis], t]])
     return BlochForm(correlation=c, basis_a=basis_a, basis_b=basis_b)
-
-
-@pytest.fixture
-def sigma():
-    return SIGMA

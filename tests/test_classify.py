@@ -224,10 +224,11 @@ def test_screens_read_one_correlation_matrix(m, n, monkeypatch):
         cq, qc, cc, dk = (screen(bf) for screen in SCREENS)
         # (R|T) and (S|T^T) are blocks of C, and one batched SVD gives all three spectra.
         assert len(calls) == 1
-        assert np.array_equal(cq.evidence, np.column_stack((bf.R, bf.T)))
-        assert np.array_equal(qc.evidence, np.column_stack((bf.S, bf.T.T)))
         c = bf.correlation
-        assert cc.evidence is c and dk.evidence is c
+        assert np.array_equal(c[1:, :], np.column_stack((bf.R, bf.T)))
+        assert np.array_equal(c[:, 1:].T, np.column_stack((bf.S, bf.T.T)))
+        assert cq.computed_rank == numerical_rank(c[1:, :])
+        assert qc.computed_rank == numerical_rank(c[:, 1:].T)
         assert cc.computed_rank == dk.computed_rank == numerical_rank(c)
         for arr in (c, bf.R, bf.S, bf.T, bf.correlation_spectrum, bf.screen_spectra):
             with pytest.raises(ValueError, match="read-only"):
@@ -245,17 +246,20 @@ def test_screen_spectra_are_the_spectra_of_the_evidence(m, n):
         assert spectra.shape == (3, min(m * m, n * n))
         assert not spectra.flags.writeable
         verdicts = [screen(bf) for screen in SCREENS]
+        # The screened blocks (R|T), (S|T^T), C and C, read from C.
+        c = bf.correlation
+        blocks = (c[1:, :], c[:, 1:].T, c, c)
         # Zeroing C's first row or column adds one zero singular value where
         # the block has fewer singular values than C.
-        for row, v in zip(spectra[:2], verdicts[:2]):
-            exact = singular_values(v.evidence)
+        for row, block in zip(spectra[:2], blocks[:2]):
+            exact = singular_values(block)
             k = len(exact)
             assert np.allclose(row[:k], exact, rtol=0, atol=1e-13 * exact[0])
             assert np.all(row[k:] <= 1e-13 * exact[0])
         assert np.array_equal(spectra[2], singular_values(bf.correlation))
         assert bf.correlation_spectrum.base is spectra
-        for v in verdicts:
-            assert v.computed_rank == numerical_rank(v.evidence)
+        for v, block in zip(verdicts, blocks):
+            assert v.computed_rank == numerical_rank(block)
 
 
 def trace_correlation(rho, m, n):

@@ -176,6 +176,34 @@ def test_classify_overflowing_state_fails_density_validation(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+# Finite 2 x 2-system states whose entries are near the float limit: all 1e308,
+# and zero but for rho[0, 1] = 1e308 + 1e308j and rho[1, 0] = -1e308 + 1e308j,
+# whose rho - rho^dag overflows.
+HUGE_PAIRS = [[1e308, 0.0]] * 16
+NON_HERMITIAN_HUGE_PAIRS = [[1e308, 1e308] if k == 1 else [-1e308, 1e308] if k == 4
+                            else [0.0, 0.0] for k in range(16)]
+
+
+@pytest.mark.parametrize(
+    "pairs,flags,error",
+    [
+        (HUGE_PAIRS, ["--no-validate"], "matrix contains NaN or Inf entries\n"),
+        (NON_HERMITIAN_HUGE_PAIRS, [], "state fails density validation: hermitian=False "),
+        (NON_HERMITIAN_HUGE_PAIRS, ["--no-validate"], "state is not Hermitian within tolerance\n"),
+    ],
+    ids=["huge_no_validate", "non_hermitian", "non_hermitian_no_validate"],
+)
+def test_classify_huge_state_exits_2_with_one_error_line(tmp_path, capsys, pairs, flags, error):
+    # pytest turns a numpy RuntimeWarning into an error, so nothing may warn
+    # before the CLI's one error line.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"m": 2, "n": 2, "rho": pairs}))
+    status, out = run_cli("classify", str(path), *flags)
+    assert status == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + error) and err.count("\n") == 1
+
+
 def test_classify_reads_a_near_hermitian_state_as_its_hermitian_part(tmp_path):
     # Within eq_abs of Hermitian, so it validates; the report is that of the
     # symmetrised state, written to a file of the same name.

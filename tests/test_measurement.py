@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vnlift import (
+    DEFAULT_TOL,
     BasisError,
     HermitianBasis,
     LiftedMeasurement,
@@ -21,6 +22,7 @@ from vnlift import (
     random_unitary,
 )
 from vnlift import measurement
+from vnlift.measurement import MAX_CONSISTENCY_RESIDUAL, MAX_IDEMPOTENCY_DEFECT
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -122,6 +124,31 @@ def test_lift_rejects_non_orthonormal_basis():
     with pytest.raises(BasisError):
         bad = HermitianBasis(elements=(2 * b.elements[0],) + b.elements[1:], labels=b.labels)
         lift_matrix(from_unitary(np.eye(2)), bad)
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_lift_accepts_every_basis_that_construction_accepts(m):
+    # i eps (J - I) is anti-Hermitian with |a - a^dag| = 2 eps <= eq_abs, so the
+    # basis is built. D's imaginary part then reaches eps (m - 1) on a row of
+    # the Fourier matrix, above eq_abs, and the lift reads D's real part.
+    eps = 4.9e-11
+    b = gell_mann_basis(m)
+    tilted = b.elements[0] + 1j * eps * (np.ones((m, m)) - np.eye(m))
+    near = HermitianBasis(elements=(tilted,) + b.elements[1:], labels=b.labels)
+    fourier = np.exp(2j * np.pi * np.outer(np.arange(m), np.arange(m)) / m) / np.sqrt(m)
+    assert np.abs(measurement._coefficients(fourier, near).imag).max() > DEFAULT_TOL.eq_abs
+    for u in (fourier, random_unitary(m, 5), random_unitary(m, 6)):
+        meas = from_unitary(u)
+        lifted = lift_matrix(meas, near)
+        assert lifted.idempotency_defect <= MAX_IDEMPOTENCY_DEFECT
+        assert numerical_rank(lifted.matrix) == m - 1
+        assert consistency_check(meas, near) <= MAX_CONSISTENCY_RESIDUAL
+
+
+def test_lift_takes_no_tolerance():
+    # The basis was checked when it was built; the lift has nothing to tolerate.
+    with pytest.raises(TypeError):
+        lift_matrix(from_unitary(HADAMARD), gell_mann_basis(2), DEFAULT_TOL)
 
 
 def test_lift_basis_covariance():

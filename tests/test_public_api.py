@@ -69,7 +69,6 @@ RHO = vnlift.random_density(4, 0)
 ARRAY_RECORDS = {
     "BlochForm": lambda: vnlift.decompose(RHO, B2, B2),
     "HermitianBasis": lambda: B2,
-    "Verdict": lambda: vnlift.classify_state(RHO, 2, 2)["classical_quantum"],
     "VonNeumannMeasurement": lambda: vnlift.from_unitary(np.eye(2)),
     "LiftedMeasurement": lambda: vnlift.lift_matrix(vnlift.from_unitary(np.eye(2)), B2),
     "InvarianceReport": lambda: vnlift.invariance_search(RHO, 2, 2, trials=5),
@@ -83,3 +82,15 @@ def test_array_records_compare_and_hash_by_identity(make):
     copy = dataclasses.replace(x)
     assert x == x and copy is not x and copy != x
     assert hash(x) == hash(x) and x in {x} and len({x, copy}) == 2
+
+
+def test_verdict_compares_and_hashes_by_value():
+    # A verdict holds no array, so equal fields make equal verdicts.
+    v = vnlift.classify_state(RHO, 2, 2)["classical_quantum"]
+    assert [f.name for f in dataclasses.fields(vnlift.Verdict)] == [
+        "ruled_out", "computed_rank", "threshold"]
+    copy = dataclasses.replace(v)
+    assert copy is not v and copy == v and hash(copy) == hash(v) and len({v, copy}) == 1
+    assert copy == vnlift.Verdict(v.ruled_out, v.computed_rank, v.threshold)
+    flipped = dataclasses.replace(v, ruled_out=not v.ruled_out)
+    assert flipped != v and len({v, flipped}) == 2

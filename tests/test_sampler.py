@@ -6,7 +6,9 @@ import pytest
 
 from vnlift import (
     ShapeError,
+    Tolerance,
     check_classical_classical,
+    check_unitary,
     decompose,
     from_unitary,
     gell_mann_basis,
@@ -381,6 +383,21 @@ def test_invariance_search_winner_owns_its_data():
     for report, m in ((eigen, 3), (trial, 2)):
         unitary = report.best_measurement.unitary
         assert unitary.base is None and unitary.nbytes == 16 * m * m
+
+
+@pytest.mark.parametrize("m,n", list(itertools.product((2, 3, 4), repeat=2)))
+def test_invariance_search_winners_are_unitary(m, n):
+    # The report holds the winner as found, not checked again: eigh's
+    # eigenvectors or a Gram-Schmidt candidate, each unitary to round-off.
+    tol = Tolerance(eq_abs=1e-12)
+    winners = set()
+    for rho in (random_classical_quantum(m, n, 31), random_quantum_classical(m, n, 32),
+                random_density(m * n, 33)):
+        for side in ("left", "right"):
+            report = invariance_search(rho, m, n, side=side, trials=2000, seed=3)
+            check_unitary(report.best_measurement.unitary, tol)
+            winners.add(report.best_trial is None)
+    assert winners == {True, False}
 
 
 def test_invariance_reports_hold_only_their_winners():
