@@ -17,7 +17,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, ROOT)
 
 from vnlift.cli import main, matrix_to_pairs  # noqa: E402
-from tests.conftest import bell_diagonal_state, rho_zero  # noqa: E402
+from tests.states import bell_diagonal_state, rho_zero  # noqa: E402
 
 FIXDIR = os.path.join(ROOT, "fixtures")
 GOLDDIR = os.path.join(FIXDIR, "golden")

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import BasisError, DEFAULT_TOL
+from .linalg import BasisError, DEFAULT_TOL, _hermitian_half
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -40,14 +40,13 @@ class HermitianBasis:
         if len(self.labels) != k:
             raise BasisError("one label per element required")
         stack = np.array(self.elements, dtype=complex)
-        eq = DEFAULT_TOL.eq_abs
-        # Written as "not <=" so that NaN entries fail the checks.
-        if not np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))) <= eq:
+        # The states' Hermiticity test; the checks below use "not <=" so NaN fails.
+        if not _hermitian_half(stack, DEFAULT_TOL)[0]:
             raise BasisError("basis elements must be Hermitian")
-        if not np.max(np.abs(np.trace(stack, axis1=1, axis2=2))) <= eq:
+        if not np.max(np.abs(np.trace(stack, axis1=1, axis2=2))) <= DEFAULT_TOL.eq_abs:
             raise BasisError("basis elements must be traceless")
         gram = np.einsum("iab,jab->ij", stack.conj(), stack)
-        if not np.max(np.abs(gram - np.eye(k))) <= eq:
+        if not np.max(np.abs(gram - np.eye(k))) <= DEFAULT_TOL.eq_abs:
             raise BasisError("basis must be Hilbert-Schmidt orthonormal")
         augmented = np.vstack((np.eye(m).ravel(), stack.reshape(k, m * m)))
         augmented.setflags(write=False)

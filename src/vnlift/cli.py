@@ -78,7 +78,7 @@ def load_unitary(path: str) -> np.ndarray:
 
 
 def _dump(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
 
 
 # Text-output label of each classify_state verdict.
@@ -217,8 +217,7 @@ def cmd_selftest(args) -> int:
             lifted = lift_matrix(meas, b)
             defect = lifted.idempotency_defect
             consist = consistency_check(meas, b)
-            ranks = {numerical_rank(a, tol) for a in (lifted.matrix, build_C(u, tol),
-                                                      build_C0(u, tol))}
+            ranks = {numerical_rank(a, tol) for a in (lifted.matrix, build_C(u), build_C0(u))}
             ok = (ok and ranks == {m - 1} and defect <= MAX_IDEMPOTENCY_DEFECT
                   and consist <= MAX_CONSISTENCY_RESIDUAL)
             worst_defect = max(worst_defect, defect)

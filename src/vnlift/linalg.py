@@ -101,11 +101,12 @@ def numerical_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
 
 
 def _hermitian_half(a: np.ndarray, tol: Tolerance) -> tuple[bool, np.ndarray]:
-    """(|a - a^dag| <= eq_abs entrywise, a / 2) for a square ``as_matrix`` result.
-    Tested as |a/2 - a^dag/2| <= eq_abs/2, which cannot overflow for a finite
-    a; halving is exact away from subnormal numbers, so the criterion is the same."""
+    """(|a - a^dag| <= eq_abs entrywise, a / 2) for a square matrix or a stack
+    of them. Tested as |a/2 - a^dag/2| <= eq_abs/2, which cannot overflow for a
+    finite a; halving is exact away from subnormal numbers, so the criterion is the same."""
     half = a * 0.5
-    return bool(np.abs(half - half.conj().T).max(initial=0.0) <= tol.eq_abs / 2), half
+    herm = np.abs(half - half.conj().swapaxes(-1, -2)).max(initial=0.0) <= tol.eq_abs / 2
+    return bool(herm), half
 
 
 def check_unitary(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -50,7 +50,11 @@ class LiftedMeasurement:
 
 
 def from_unitary(a, tol: Tolerance = DEFAULT_TOL) -> VonNeumannMeasurement:
+    """The measurement with the rows of ``a``, which must be unitary within
+    ``tol`` and at least 2 x 2: no basis, lift or C exists at dimension 1."""
     a = check_unitary(a, tol)
+    if a.shape[0] < 2:
+        raise ValueError(f"a measurement needs dimension >= 2, got {a.shape[0]}")
     return VonNeumannMeasurement(a)
 
 
@@ -80,18 +84,11 @@ def lift_matrix(meas: VonNeumannMeasurement, b: HermitianBasis) -> LiftedMeasure
     return LiftedMeasurement(d.T @ d)
 
 
-def _checked_unitary(a, tol: Tolerance) -> np.ndarray:
-    a = check_unitary(a, tol)
-    if a.shape[0] < 2:
-        raise ValueError(f"coefficient matrices need dimension >= 2, got {a.shape[0]}")
-    return a
-
-
-def build_C(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Real m x (m^2-1) coefficient matrix (C1, C2, C3) of a unitary A:
-    C[s, i] = <a_s|mu_i|a_s>, where a_s is row s of A and mu_i is element i of
-    gell_mann_basis(m), so the columns follow that basis's canonical ordering."""
-    a = _checked_unitary(a, tol)
+def build_C(a) -> np.ndarray:
+    """Real m x (m^2-1) coefficient matrix (C1, C2, C3) of a unitary A, checked
+    by ``from_unitary``: C[s, i] = <a_s|mu_i|a_s> for row a_s of A and element
+    mu_i of gell_mann_basis(m), so the columns follow its canonical ordering."""
+    a = from_unitary(a).unitary
     return _coefficients(a, gell_mann_basis(a.shape[0])).real
 
 
@@ -103,11 +100,11 @@ def _off_diagonal(m: int) -> np.ndarray:
     return index
 
 
-def build_C0(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def build_C0(a) -> np.ndarray:
     """Complex m x (m^2-1) matrix with the same rank as build_C(a):
     columns alpha_i = |a_0|^2 - |a_i|^2 (i = 1..m-1), then beta_kl = a_k^* a_l
-    over the ordered pairs k != l in row-major order."""
-    a = _checked_unitary(a, tol)
+    over the ordered pairs k != l in row-major order. A is checked as in build_C."""
+    a = from_unitary(a).unitary
     absq = np.abs(a) ** 2
     alpha = absq[:, :1] - absq[:, 1:]
     beta = _outer_rows(a)[:, _off_diagonal(a.shape[0])]

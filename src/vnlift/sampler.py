@@ -175,10 +175,10 @@ _BLOCK_ELEMENTS = 1 << 14
 _CHUNK_TRIALS = 4096
 
 # A trial is skipped only when its lower bound exceeds the best residual by
-# this multiple of ||rho||_F (plus the anti-Hermitian allowance). The bound's
-# variance loses about m * eps * ||rho||_F^2 to cancellation, so its square
-# root is off by at most about sqrt(m * eps) * ||rho||_F, 3e-8 at m = 4, and a
-# residual by about m^2 * eps * ||rho||_F; a trial within the margin is scored.
+# this multiple of ||rho||_F. The bound's variance loses about
+# m * eps * ||rho||_F^2 to cancellation, so its square root is off by at most
+# about sqrt(m * eps) * ||rho||_F, 3e-8 at m = 4, and a residual by about
+# m^2 * eps * ||rho||_F; a trial within the margin is scored.
 _PRUNE_MARGIN = 1e-6
 
 
@@ -242,24 +242,24 @@ def invariance_search(
     trials: int = 2000,
     seed: int = 0,
 ) -> InvarianceReport:
-    """Minimize ||channel(rho) - rho||_F over random von Neumann measurements
-    on one side, always including the eigenbasis of the relevant reduced
-    state as a deterministic candidate.
+    """Minimize ||channel(H) - H||_F over random von Neumann measurements on one
+    side, for H = rho/2 + rho^dag/2, the Hermitian part that the screens read,
+    with the eigenbasis of the reduced state H_A as a deterministic candidate.
+    A state too large to search without overflow raises ValueError.
 
     The eigenbasis is scored first. A random trial is then scored only if a
     lower bound on its residual does not rule it out. With B_ik the
-    off-diagonal blocks <phi_i| rho |phi_k>, Tr B_ik = <phi_i| rho_A |phi_k>
-    and |Tr B|^2 <= n ||B||_F^2, so for the Hermitian part H of rho_A
+    off-diagonal blocks <phi_i| H |phi_k>, Tr B_ik = <phi_i| H_A |phi_k>
+    and |Tr B|^2 <= n ||B||_F^2, so
 
-        residual^2 >= (2/n) (<phi_0|H^2|phi_0> - <phi_0|H|phi_0>^2),
+        residual^2 >= (2/n) (<phi_0|H_A^2|phi_0> - <phi_0|H_A|phi_0>^2),
 
-    the variance of H's eigenvalues under the weights |<v_j|phi_0>|^2 of the
-    trial's first measurement vector in H's eigenbasis: O(m^2) per trial,
+    the variance of H_A's eigenvalues under the weights |<v_j|phi_0>|^2 of the
+    trial's first measurement vector in their eigenbasis: O(m^2) per trial,
     against O(m^4 n^2) for the residual. A trial is skipped only when its
     bound exceeds the best residual so far by the round-off margin
-    `_PRUNE_MARGIN` * ||rho||_F, plus sqrt(2/n) ||A||_F for the anti-Hermitian
-    part A of rho_A, which the bound leaves out. A skipped trial can thus
-    neither win nor tie, and the report is what scoring every trial gives."""
+    `_PRUNE_MARGIN` * ||H||_F: it can neither win nor tie, and the report is
+    what scoring every trial gives."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if m < 2 or n < 2:
@@ -267,21 +267,24 @@ def invariance_search(
     rho = as_state(rho, m, n)
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    # H as validate_density forms it: rho bit for bit if that is exactly
+    # Hermitian, and H_A is exactly Hermitian. The largest values formed below,
+    # H_A's squared eigenvalues and spread, are at most half the bound tested.
+    rho = rho * 0.5
+    rho += rho.conj().T
+    norm2 = float(np.vdot(rho, rho).real)
+    if not 4.0 * max(m, n) * norm2 < np.inf:
+        raise ValueError("state too large for the invariance search: ||rho||_F^2 nears overflow")
     if side == "right":
         rho, m, n = swap_subsystems(rho, m, n), n, m
-    reduced = partial_trace(rho, m, n, keep="a")
-    hermitian = (reduced + reduced.conj().T) / 2.0
-    evals, evecs = np.linalg.eigh(hermitian)
+    evals, evecs = np.linalg.eigh(partial_trace(rho, m, n, keep="a"))
     degenerate = bool(np.min(np.diff(evals)) < _DEGENERACY_GAP)
     # Row i of a measurement unitary is the coefficient vector of |phi_i>. A
     # copy, so the report holds the winner and not eigh's output.
     rho4, best_unit = rho.reshape(m, n, m, n), evecs.T.copy()
     eigenbasis_residual = float(_measured_residuals(rho4, best_unit[None])[0])
     best, best_residual = None, eigenbasis_residual
-    # sqrt(2/n) ||A||_F with A = reduced - hermitian, the anti-Hermitian part.
-    anti = reduced - hermitian
-    margin = (_PRUNE_MARGIN * np.sqrt(np.vdot(rho, rho).real)
-              + np.sqrt(2.0 / n * np.vdot(anti, anti).real))
+    margin = _PRUNE_MARGIN * np.sqrt(norm2)
     # The bound's variance is moments @ w minus its mean squared, for w_j the
     # weights |<v_j|phi_0>|^2 of each trial's first measurement vector.
     moments, evecs_h = np.array([evals, evals * evals]), evecs.conj().T

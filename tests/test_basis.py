@@ -1,10 +1,11 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vnlift import BasisError, HermitianBasis, gell_mann_basis, pauli_gell_mann_basis
+from vnlift import DEFAULT_TOL, BasisError, HermitianBasis, gell_mann_basis, pauli_gell_mann_basis
 from tests.conftest import SIGMA
 
 S2 = np.sqrt(2.0)
@@ -144,6 +145,31 @@ def test_construction_rejects_invalid_element(case):
     elements, property_name = _invalid_elements(case)
     with pytest.raises(BasisError, match=property_name):
         HermitianBasis(elements=elements, labels=gell_mann_basis(2).labels)
+
+
+def test_construction_rejects_an_overflowing_non_hermitian_element():
+    # mu - mu^dag overflows for these entries; the check halves first, as the
+    # state checks do, so it refuses the element with no warning.
+    b = gell_mann_basis(2)
+    huge = np.array([[0, 1e308 + 1e308j], [-1e308 + 1e308j, 0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BasisError, match="Hermitian"):
+            HermitianBasis(elements=_replace_first(b, huge), labels=b.labels)
+
+
+@pytest.mark.parametrize("fraction,hermitian", [(0.9, True), (1.1, False)])
+def test_hermiticity_cutoff_is_eq_abs(fraction, hermitian):
+    # Element 0 plus i eps X, with max|mu - mu^dag| = 2 eps = fraction * eq_abs;
+    # it stays traceless and orthonormal within eq_abs, so only Hermiticity decides.
+    b = gell_mann_basis(2)
+    eps = fraction * DEFAULT_TOL.eq_abs / 2
+    element = b.elements[0] + 1j * eps * SIGMA[1]
+    if hermitian:
+        HermitianBasis(elements=_replace_first(b, element), labels=b.labels)
+    else:
+        with pytest.raises(BasisError, match="Hermitian"):
+            HermitianBasis(elements=_replace_first(b, element), labels=b.labels)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vnlift import (__version__, basis, cli, gell_mann_basis, pauli_gell_mann_basis,
-                    random_density, sampler)
+                    random_classical_quantum, random_density, sampler)
 from vnlift.cli import main, matrix_to_pairs, pairs_to_matrix
 from tests.conftest import near_hermitian
 
@@ -178,10 +178,12 @@ def test_classify_overflowing_state_fails_density_validation(tmp_path, capsys):
 
 # Finite 2 x 2-system states whose entries are near the float limit: all 1e308,
 # and zero but for rho[0, 1] = 1e308 + 1e308j and rho[1, 0] = -1e308 + 1e308j,
-# whose rho - rho^dag overflows.
+# whose rho - rho^dag overflows. A Hermitian state at 1e200 screens, unvalidated,
+# but its oracle search would overflow.
 HUGE_PAIRS = [[1e308, 0.0]] * 16
 NON_HERMITIAN_HUGE_PAIRS = [[1e308, 1e308] if k == 1 else [-1e308, 1e308] if k == 4
                             else [0.0, 0.0] for k in range(16)]
+HUGE_HERMITIAN_PAIRS = matrix_to_pairs(1e200 * random_density(4, 3))
 
 
 @pytest.mark.parametrize(
@@ -190,8 +192,10 @@ NON_HERMITIAN_HUGE_PAIRS = [[1e308, 1e308] if k == 1 else [-1e308, 1e308] if k =
         (HUGE_PAIRS, ["--no-validate"], "matrix contains NaN or Inf entries\n"),
         (NON_HERMITIAN_HUGE_PAIRS, [], "state fails density validation: hermitian=False "),
         (NON_HERMITIAN_HUGE_PAIRS, ["--no-validate"], "state is not Hermitian within tolerance\n"),
+        (HUGE_HERMITIAN_PAIRS, ["--no-validate", "--oracle", "50", "--json"],
+         "state too large for the invariance search: "),
     ],
-    ids=["huge_no_validate", "non_hermitian", "non_hermitian_no_validate"],
+    ids=["huge_no_validate", "non_hermitian", "non_hermitian_no_validate", "oracle_json"],
 )
 def test_classify_huge_state_exits_2_with_one_error_line(tmp_path, capsys, pairs, flags, error):
     # pytest turns a numpy RuntimeWarning into an error, so nothing may warn
@@ -205,18 +209,41 @@ def test_classify_huge_state_exits_2_with_one_error_line(tmp_path, capsys, pairs
 
 
 def test_classify_reads_a_near_hermitian_state_as_its_hermitian_part(tmp_path):
-    # Within eq_abs of Hermitian, so it validates; the report is that of the
-    # symmetrised state, written to a file of the same name.
+    # Within eq_abs of Hermitian, so it validates; the report, oracle included,
+    # is that of the symmetrised state, written to a file of the same name.
     near = near_hermitian(random_density(4, 11), 11)
-    outputs = []
+    paths = []
     for name, rho in (("near", near), ("sym", (near + near.conj().T) / 2.0)):
         (tmp_path / name).mkdir()
-        path = tmp_path / name / "state.json"
-        path.write_text(json.dumps({"m": 2, "n": 2, "rho": matrix_to_pairs(rho)}))
-        status, out = run_cli("classify", str(path), "--json")
-        assert status == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
+        paths.append(tmp_path / name / "state.json")
+        paths[-1].write_text(json.dumps({"m": 2, "n": 2, "rho": matrix_to_pairs(rho)}))
+    for flags in ([], ["--oracle", "50"]):
+        outputs = []
+        for path in paths:
+            status, out = run_cli("classify", str(path), "--json", *flags)
+            assert status == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1], flags
+
+
+def test_classify_oracle_agrees_with_the_screens_off_hermitian(tmp_path):
+    # A classical-quantum state plus an anti-Hermitian part of order 1e-2,
+    # unvalidated under a loose eq_abs: the screens read its Hermitian part and
+    # pass it, and the oracle finds that part's generating basis.
+    rho = near_hermitian(random_classical_quantum(2, 2, 75), 75, 1e8)
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"m": 2, "n": 2, "rho": matrix_to_pairs(rho)}))
+    status, out = run_cli("classify", str(path), "--no-validate", "--tol-eq", "0.1",
+                          "--oracle", "2000", "--json")
+    assert status == 0
+    doc = json.loads(out)
+    assert not doc["checks"]["classical_quantum"]["ruled_out"]
+    assert doc["oracle"]["left"]["best_residual"] <= 1e-10
+
+
+def test_dump_refuses_a_non_finite_number():
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._dump({"best_residual": float("inf")})
 
 
 def test_lift_non_unitary_exits_2(tmp_path):
@@ -236,6 +263,14 @@ def test_lift_violating_the_invariants_exits_1(tmp_path, capsys):
         "error: lifted matrix violates structural invariants (defect 9.999e-05, rank 2)\n")
     status, _ = run_cli("lift", str(path))
     assert status == 2
+
+
+def test_lift_one_by_one_unitary_names_the_measurement(tmp_path, capsys):
+    path = tmp_path / "phase.json"
+    path.write_text(json.dumps({"m": 1, "u": [[1.0, 0.0]]}))
+    status, out = run_cli("lift", str(path))
+    assert status == 2 and out == ""
+    assert capsys.readouterr().err == "error: a measurement needs dimension >= 2, got 1\n"
 
 
 def test_lift_overflowing_unitary_exits_2(tmp_path, capsys):

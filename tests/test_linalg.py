@@ -54,6 +54,15 @@ def test_is_hermitian_examples():
     assert not _hermitian_half(np.array([[0, 1], [0, 0]], dtype=complex), TOL)[0]
 
 
+def test_is_hermitian_reads_a_stack_as_its_matrices():
+    # The dagger is over the last two axes: a stack passes when each matrix does.
+    stack = np.array([SIGMA[1], SIGMA[2], SIGMA[3]])
+    assert _hermitian_half(stack, TOL)[0]
+    stack[1, 0, 1] += 2 * TOL.eq_abs
+    assert not _hermitian_half(stack, TOL)[0]
+    assert np.array_equal(_hermitian_half(stack, TOL)[1], stack / 2)
+
+
 @given(st.integers(0, 2**32 - 1))
 def test_is_hermitian_by_construction(seed):
     rng = np.random.default_rng(seed)

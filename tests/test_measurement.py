@@ -207,9 +207,17 @@ def test_coefficient_matrices_match_closed_form(m):
 
 
 def test_coefficient_matrices_reject_dimension_one():
-    for build in (build_C, build_C0):
+    # from_unitary is the one gate, and the coefficient matrices go through it.
+    for build in (from_unitary, build_C, build_C0):
         with pytest.raises(ValueError, match="dimension >= 2, got 1"):
             build(np.eye(1))
+
+
+def test_coefficient_matrices_take_no_tolerance():
+    # They check through from_unitary at its default tolerance.
+    for build in (build_C, build_C0):
+        with pytest.raises(TypeError):
+            build(HADAMARD, DEFAULT_TOL)
 
 
 def test_build_C_rejects_non_unitary():

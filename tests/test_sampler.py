@@ -67,11 +67,15 @@ def test_gram_schmidt_unitaries_match_qr_and_ignore_batch_size(m):
         assert np.array_equal(_unitaries_by_gram_schmidt(z[:t + 1])[t], u[t]), t
 
 
+def _hermitian(rho):
+    """The state the search scores: rho's Hermitian part, formed as it forms it."""
+    return rho / 2 + rho.conj().T / 2
+
+
 def _eigenbasis(rho, m, n):
     """The search's eigenbasis candidate: rows are the eigenvectors of the
-    Hermitian part of the measured side's reduced state."""
-    reduced = partial_trace(rho, m, n, keep="a")
-    return np.linalg.eigh((reduced + reduced.conj().T) / 2.0)[1].T.copy()
+    measured side's reduced state of rho's Hermitian part."""
+    return np.linalg.eigh(partial_trace(_hermitian(rho), m, n, keep="a"))[1].T.copy()
 
 
 def test_invariance_search_trial_residual_ignores_trial_count():
@@ -128,16 +132,17 @@ def _pruning_states(m, n):
 
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 4), (3, 2), (2, 4)])
 def test_invariance_search_pruning_is_exact(m, n):
-    # The reference scores every candidate: the eigenbasis, then all trials in
-    # one batch, and takes the first argmin, so the eigenbasis wins ties. Trial
-    # t is the same candidate for every trial count, so one draw of 5000
-    # serves 50, 2000 (one chunk) and 5000 (two chunks).
+    # The reference scores every candidate on rho's Hermitian part: the
+    # eigenbasis, then all trials in one batch, and takes the first argmin, so
+    # the eigenbasis wins ties. Trial t is the same candidate for every trial
+    # count, so one draw of 5000 serves 50, 2000 (one chunk) and 5000 (two chunks).
     seed = m + 10 * n
     drawn = {k: _unitaries_by_gram_schmidt(_rng(seed, 2).standard_normal((5000, 2, k, k)))
              for k in {m, n}}
     for kind, rho in _pruning_states(m, n).items():
+        herm = _hermitian(rho)
         for side in ("left", "right"):
-            state, a, b = (rho, m, n) if side == "left" else (swap_subsystems(rho, m, n), n, m)
+            state, a, b = (herm, m, n) if side == "left" else (swap_subsystems(herm, m, n), n, m)
             units = np.concatenate([_eigenbasis(state, a, b)[None], drawn[a]])
             residuals = sampler._measured_residuals(state.reshape(a, b, a, b), units)
             for trials in (50, 2000, 5000):
@@ -156,7 +161,7 @@ def test_invariance_search_pruning_keeps_near_ties(monkeypatch):
     def check(rho, m, n, trials):
         monkeypatch.setattr(sampler, "_one_chunk_candidates", lambda *key: trials)
         units = np.concatenate([_eigenbasis(rho, m, n)[None], trials])
-        residuals = sampler._measured_residuals(rho.reshape(m, n, m, n), units)
+        residuals = sampler._measured_residuals(_hermitian(rho).reshape(m, n, m, n), units)
         best = int(np.argmin(residuals))
         report = invariance_search(rho, m, n, trials=len(trials), seed=0)
         assert report.best_trial == (best - 1 if best else None)
@@ -177,19 +182,27 @@ def test_invariance_search_pruning_keeps_near_ties(monkeypatch):
         winners.append(check(rho, 3, 3, trials[rng.permutation(len(trials))]))
     # Searches that a reordered eigenbasis won.
     assert sum(w > 0 for w in winners) >= 5, winners
-    # rho = X (x) I/2 with X lower triangular in a basis phi is not Hermitian:
-    # phi's residual is 0, but the Hermitian part of rho_A = X has off-diagonal
-    # entries there, so phi's bound alone is 0.5. A first chunk holding a
-    # rotation of phi (residual 0.002, bound 0.498) lowers the best residual
-    # below that; the anti-Hermitian allowance keeps phi in the second chunk.
-    phi = random_unitary(2, 0)
-    rho = np.kron(phi.T @ np.array([[0.6, 0.0], [1.0, 0.4]]) @ phi.conj(), np.eye(2) / 2)
-    turn = np.array([[np.cos(0.01), np.sin(0.01)], [-np.sin(0.01), np.cos(0.01)]])
-    chunks = [(turn @ phi)[None], phi[None]]
-    monkeypatch.setattr(sampler, "_CHUNK_TRIALS", 1)
-    monkeypatch.setattr(sampler, "_unitaries_by_gram_schmidt", lambda z: chunks.pop(0))
-    report = invariance_search(rho, 2, 2, trials=2, seed=0)
-    assert report.best_trial == 1 and report.best_residual <= 1e-15
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2)])
+def test_invariance_search_refuses_a_state_that_would_overflow(m, n):
+    # The search either refuses a huge state with one ValueError or scores it
+    # with finite residuals; pytest turns a numpy RuntimeWarning into an error.
+    rho = random_density(m * n, 3)
+    for exponent in np.arange(150.0, 156.0, 0.25):
+        state = rho * 10.0 ** exponent
+        for side in ("left", "right"):
+            try:
+                report = invariance_search(state, m, n, side=side, trials=50, seed=1)
+            except ValueError as exc:
+                assert exponent > 153 and "too large" in str(exc), (exponent, side)
+            else:
+                assert exponent < 155 and np.isfinite(report.best_residual), (exponent, side)
+    for side in ("left", "right"):
+        report = invariance_search(rho * 1e150, m, n, side=side, trials=50, seed=1)
+        assert 0.0 < report.best_residual <= report.eigenbasis_residual < np.inf
+        with pytest.raises(ValueError, match="too large for the invariance search"):
+            invariance_search(rho * 1e200, m, n, side=side, trials=50, seed=1)
 
 
 @pytest.mark.parametrize("m", [3, 4])
