@@ -24,7 +24,6 @@ from .linalg import (
     ShapeError,
     Tolerance,
     UnitarityError,
-    check_unitary,
     numerical_rank,
     validate_density,
 )

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra substrate: tolerances, numerical rank, validation."""
+"""Dense complex linear algebra substrate: tolerances, numerical rank, density validation."""
 
 from __future__ import annotations
 
@@ -107,31 +107,6 @@ def _hermitian_half(a: np.ndarray, tol: Tolerance) -> tuple[bool, np.ndarray]:
     half = a * 0.5
     herm = np.abs(half - half.conj().swapaxes(-1, -2)).max(initial=0.0) <= tol.eq_abs / 2
     return bool(herm), half
-
-
-def check_unitary(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Return ``a`` as a complex matrix, or raise if ||AA^dag - I||_F > eq_abs
-    or ``a`` is empty.
-
-    A NaN or Inf entry makes the defect non-finite, so the finite-entry scan
-    runs only once the defect test has failed.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        _finite_matrix(a)
-        raise ShapeError(f"unitary must be square, got {a.shape}")
-    if not a.size:
-        raise ShapeError("unitary must not be empty")
-    # An overflowing product is rejected below; it need not warn first.
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = a @ a.conj().T
-        gram.reshape(-1)[:: a.shape[0] + 1] -= 1.0
-        defect = math.sqrt(np.vdot(gram, gram).real)
-    # Written so that a NaN defect (an overflowing product) fails the test.
-    if not defect <= tol.eq_abs:
-        _finite_matrix(a)
-        raise UnitarityError(f"matrix is not unitary: ||AA^dag - I||_F = {defect:.3e}")
-    return a
 
 
 @dataclass(frozen=True)

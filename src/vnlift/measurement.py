@@ -3,13 +3,14 @@ associated coefficient matrices C and C0."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .basis import HermitianBasis, gell_mann_basis
-from .linalg import DEFAULT_TOL, ShapeError, Tolerance, check_unitary, frobenius
+from .linalg import DEFAULT_TOL, ShapeError, Tolerance, UnitarityError, as_matrix, frobenius
 
 # Structural bounds a lifted measurement must meet: ||M^2 - M||_F, and the
 # deviation that consistency_check reports.
@@ -50,11 +51,28 @@ class LiftedMeasurement:
 
 
 def from_unitary(a, tol: Tolerance = DEFAULT_TOL) -> VonNeumannMeasurement:
-    """The measurement with the rows of ``a``, which must be unitary within
-    ``tol`` and at least 2 x 2: no basis, lift or C exists at dimension 1."""
-    a = check_unitary(a, tol)
+    """The measurement with the rows of ``a``, which must be at least 2 x 2 (no
+    basis, lift or C exists at dimension 1) and unitary within ``tol``:
+    ||AA^dag - I||_F <= eq_abs.
+
+    A NaN or Inf entry makes the defect non-finite, so the finite-entry scan
+    runs only once the defect test has failed.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        as_matrix(a)
+        raise ShapeError(f"unitary must be square, got {a.shape}")
     if a.shape[0] < 2:
         raise ValueError(f"a measurement needs dimension >= 2, got {a.shape[0]}")
+    # An overflowing product is rejected below; it need not warn first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = a @ a.conj().T
+        gram.reshape(-1)[:: a.shape[0] + 1] -= 1.0
+        defect = math.sqrt(np.vdot(gram, gram).real)
+    # Written so that a NaN defect (an overflowing product) fails the test.
+    if not defect <= tol.eq_abs:
+        as_matrix(a)
+        raise UnitarityError(f"matrix is not unitary: ||AA^dag - I||_F = {defect:.3e}")
     return VonNeumannMeasurement(a)
 
 

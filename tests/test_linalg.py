@@ -8,7 +8,7 @@ from vnlift import (
     ShapeError,
     Tolerance,
     UnitarityError,
-    check_unitary,
+    from_unitary,
     numerical_rank,
     random_unitary,
     validate_density,
@@ -76,18 +76,22 @@ def test_is_hermitian_requires_square():
         validate_density(np.zeros((2, 3)))
 
 
+# The unitarity check: from_unitary alone makes it, and raises linalg's
+# UnitarityError.
+
+
 def test_check_unitary_returns_complex_matrix():
-    out = check_unitary(np.eye(2, dtype=int))
+    out = from_unitary(np.eye(2, dtype=int)).unitary
     assert out.dtype == complex and np.array_equal(out, np.eye(2))
     u = random_unitary(3, 4)
-    assert np.array_equal(check_unitary(u), u)
+    assert np.array_equal(from_unitary(u).unitary, u)
 
 
 def test_check_unitary_uses_eq_abs():
     near = np.diag([1.0, 1.0 + 1e-8])
     with pytest.raises(UnitarityError):
-        check_unitary(near)
-    assert np.array_equal(check_unitary(near, Tolerance(eq_abs=1e-6)), near)
+        from_unitary(near)
+    assert np.array_equal(from_unitary(near, Tolerance(eq_abs=1e-6)).unitary, near)
 
 
 @pytest.mark.parametrize("m", [2, 4])
@@ -99,19 +103,22 @@ def test_check_unitary_cutoff_is_eq_abs(tol, m):
     for x in (tol.eq_abs * (1 - 1e-3), tol.eq_abs * (1 + 1e-3)):
         a = u @ np.diag([1.0] * (m - 1) + [np.sqrt(1 + x)])
         if x < tol.eq_abs:
-            assert np.array_equal(check_unitary(a, tol), a)
+            assert np.array_equal(from_unitary(a, tol).unitary, a)
         else:
             with pytest.raises(UnitarityError):
-                check_unitary(a, tol)
+                from_unitary(a, tol)
 
 
 def test_check_unitary_rejects():
     with pytest.raises(ShapeError):
-        check_unitary(np.zeros((2, 3)))
-    with pytest.raises(ShapeError, match="empty"):
-        check_unitary(np.zeros((0, 0)))
+        from_unitary(np.zeros((2, 3)))
+    # The dimension test comes before the unitarity test, and refuses 0 x 0.
+    for a in (np.zeros((0, 0)), np.zeros((1, 1))):
+        with pytest.raises(ValueError, match=f"dimension >= 2, got {len(a)}") as info:
+            from_unitary(a)
+        assert type(info.value) is ValueError
     with pytest.raises(UnitarityError, match="AA"):
-        check_unitary(np.array([[1, 1], [0, 1]]))
+        from_unitary(np.array([[1, 1], [0, 1]]))
 
 
 @pytest.mark.parametrize(
@@ -123,7 +130,7 @@ def test_check_unitary_rejects_overflowing_defect(a):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(UnitarityError, match="not unitary"):
-            check_unitary(a)
+            from_unitary(a)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -133,11 +140,11 @@ def test_check_unitary_rejects_non_finite_entries(bad):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="NaN or Inf") as info:
-            check_unitary(u)
+            from_unitary(u)
     assert not isinstance(info.value, UnitarityError)
     # The finite-entry scan still comes before the shape check.
     with pytest.raises(ValueError, match="NaN or Inf"):
-        check_unitary(np.full((2, 3), bad))
+        from_unitary(np.full((2, 3), bad))
 
 
 def _rotated_spectrum(kind: str, d: int, eq_abs: float, seed: int) -> np.ndarray:

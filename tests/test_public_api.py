@@ -27,7 +27,6 @@ PUBLIC_API = {
     "check_classical_classical",
     "check_classical_quantum",
     "check_quantum_classical",
-    "check_unitary",
     "classify_bell_diagonal",
     "classify_state",
     "consistency_check",

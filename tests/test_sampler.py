@@ -8,7 +8,6 @@ from vnlift import (
     ShapeError,
     Tolerance,
     check_classical_classical,
-    check_unitary,
     decompose,
     from_unitary,
     gell_mann_basis,
@@ -408,7 +407,7 @@ def test_invariance_search_winners_are_unitary(m, n):
                 random_density(m * n, 33)):
         for side in ("left", "right"):
             report = invariance_search(rho, m, n, side=side, trials=2000, seed=3)
-            check_unitary(report.best_measurement.unitary, tol)
+            from_unitary(report.best_measurement.unitary, tol)
             winners.add(report.best_trial is None)
     assert winners == {True, False}
 
