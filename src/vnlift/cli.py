@@ -49,7 +49,10 @@ def pairs_to_matrix(pairs, rows: int, cols: int) -> np.ndarray:
 
 def _load_object(path: str, keys) -> dict:
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: top level must be a JSON object")
     for key in keys:

@@ -53,12 +53,13 @@ class LiftedMeasurement:
 def from_unitary(a, tol: Tolerance = DEFAULT_TOL) -> VonNeumannMeasurement:
     """The measurement with the rows of ``a``, which must be at least 2 x 2 (no
     basis, lift or C exists at dimension 1) and unitary within ``tol``:
-    ||AA^dag - I||_F <= eq_abs.
+    ||AA^dag - I||_F <= eq_abs. vnlift builds every measurement here, from a
+    read-only copy of ``a``, so editing ``a`` afterwards changes nothing.
 
     A NaN or Inf entry makes the defect non-finite, so the finite-entry scan
     runs only once the defect test has failed.
     """
-    a = np.asarray(a, dtype=complex)
+    a = np.array(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         as_matrix(a)
         raise ShapeError(f"unitary must be square, got {a.shape}")
@@ -73,6 +74,7 @@ def from_unitary(a, tol: Tolerance = DEFAULT_TOL) -> VonNeumannMeasurement:
     if not defect <= tol.eq_abs:
         as_matrix(a)
         raise UnitarityError(f"matrix is not unitary: ||AA^dag - I||_F = {defect:.3e}")
+    a.flags.writeable = False
     return VonNeumannMeasurement(a)
 
 
@@ -81,33 +83,36 @@ def _outer_rows(u: np.ndarray) -> np.ndarray:
     return (u.conj()[:, :, np.newaxis] * u[:, np.newaxis, :]).reshape(len(u), -1)
 
 
-def _coefficients(u: np.ndarray, b: HermitianBasis) -> np.ndarray:
-    """D[s, i] = <phi_s|mu_i|phi_s> for the rows phi_s of u and the elements
-    mu_i of b: one product of _outer_rows(u) with the transpose of the
-    flattened elements, the rows of b.augmented() after vec I."""
-    return _outer_rows(u) @ b.augmented()[1:].T
+def _coefficients(meas: VonNeumannMeasurement, b: HermitianBasis) -> np.ndarray:
+    """D[s, i] = <phi_s|mu_i|phi_s> for the measurement vectors phi_s and the
+    elements mu_i of b: one product of _outer_rows(unitary) with the transpose
+    of the flattened elements, the rows of b.augmented() after vec I. Every D is
+    formed here, behind the one check that b has the measurement's dimension."""
+    if b.dim != meas.dim:
+        raise ShapeError(f"basis dim {b.dim} != measurement dim {meas.dim}")
+    return _outer_rows(meas.unitary) @ b.augmented()[1:].T
 
 
 def lift_matrix(meas: VonNeumannMeasurement, b: HermitianBasis) -> LiftedMeasurement:
     """Matrix M with M[j, i] = Tr(mu_j^dag . channel(mu_i)) = (D^T D)[j, i],
-    where D is the real part of _coefficients(unitary, basis), as in build_C.
+    where D is _coefficients(meas, b).real, as in build_C. M is read-only.
 
     Valid because every HermitianBasis is Hilbert-Schmidt orthonormal and
     Hermitian within eq_abs, which its construction checks once; D's
     imaginary part is then of that order, and is not checked again here.
     """
-    if b.dim != meas.dim:
-        raise ShapeError(f"basis dim {b.dim} != measurement dim {meas.dim}")
-    d = _coefficients(meas.unitary, b).real
-    return LiftedMeasurement(d.T @ d)
+    d = _coefficients(meas, b).real
+    lifted = d.T @ d
+    lifted.flags.writeable = False
+    return LiftedMeasurement(lifted)
 
 
 def build_C(a) -> np.ndarray:
     """Real m x (m^2-1) coefficient matrix (C1, C2, C3) of a unitary A, checked
     by ``from_unitary``: C[s, i] = <a_s|mu_i|a_s> for row a_s of A and element
     mu_i of gell_mann_basis(m), so the columns follow its canonical ordering."""
-    a = from_unitary(a).unitary
-    return _coefficients(a, gell_mann_basis(a.shape[0])).real
+    meas = from_unitary(a)
+    return _coefficients(meas, gell_mann_basis(meas.dim)).real
 
 
 @lru_cache(maxsize=None)
@@ -133,12 +138,11 @@ def consistency_check(meas: VonNeumannMeasurement, b: HermitianBasis) -> float:
     """Max entrywise deviation between the channel applied to each element of
     b by its definition, sum_s P_s mu_i P_s, through the superoperator
     S[(q, r), (p, t)] = sum_s P_s[p, q] P_s[r, t], and the combination
-    sum_s D[s, i] P_s that the coefficient matrix D in b predicts.  S never reads D."""
-    if b.dim != meas.dim:
-        raise ShapeError(f"basis dim {b.dim} != measurement dim {meas.dim}")
+    sum_s D[s, i] P_s that the coefficient matrix D in b predicts. S never reads
+    D, which is formed first, so a basis of another dimension raises first."""
+    d = _coefficients(meas, b)
     m = meas.dim
     proj = meas.projectors().reshape(m, m * m)
     superop = (proj.T @ proj).reshape(m, m, m, m).transpose(1, 2, 0, 3).reshape(m * m, m * m)
     applied = b.augmented()[1:] @ superop
-    predicted = _coefficients(meas.unitary, b).T @ proj
-    return float(np.abs(applied - predicted).max())
+    return float(np.abs(applied - d.T @ proj).max())

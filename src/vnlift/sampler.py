@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_state
-from .measurement import VonNeumannMeasurement
+from .measurement import VonNeumannMeasurement, from_unitary
 
 _DEGENERACY_GAP = 1e-6
 
@@ -259,7 +259,8 @@ def invariance_search(
     against O(m^4 n^2) for the residual. A trial is skipped only when its
     bound exceeds the best residual so far by the round-off margin
     `_PRUNE_MARGIN` * ||H||_F: it can neither win nor tie, and the report is
-    what scoring every trial gives."""
+    what scoring every trial gives. The eigenbasis and each new winner are
+    built by from_unitary, so the report holds a checked, read-only copy."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if m < 2 or n < 2:
@@ -279,10 +280,9 @@ def invariance_search(
         rho, m, n = swap_subsystems(rho, m, n), n, m
     evals, evecs = np.linalg.eigh(partial_trace(rho, m, n, keep="a"))
     degenerate = bool(np.min(np.diff(evals)) < _DEGENERACY_GAP)
-    # Row i of a measurement unitary is the coefficient vector of |phi_i>. A
-    # copy, so the report holds the winner and not eigh's output.
-    rho4, best_unit = rho.reshape(m, n, m, n), evecs.T.copy()
-    eigenbasis_residual = float(_measured_residuals(rho4, best_unit[None])[0])
+    # Row i of a measurement unitary is the coefficient vector of |phi_i>.
+    rho4, best_meas = rho.reshape(m, n, m, n), from_unitary(evecs.T)
+    eigenbasis_residual = float(_measured_residuals(rho4, best_meas.unitary[None])[0])
     best, best_residual = None, eigenbasis_residual
     margin = _PRUNE_MARGIN * np.sqrt(norm2)
     # The bound's variance is moments @ w minus its mean squared, for w_j the
@@ -317,17 +317,15 @@ def invariance_search(
             residuals = _measured_residuals(rho4, units)
             k = int(np.argmin(residuals))
             # Strictly smaller, so a tie keeps the earliest candidate, as one
-            # argmin over all of them would. A copy, so the report holds the
-            # winner and not its chunk.
+            # argmin over all of them would.
             if residuals[k] < best_residual:
                 best, best_residual = first + int(keep[k]), float(residuals[k])
-                best_unit = units[k].copy()
+                best_meas = from_unitary(units[k])
         # Released before the next chunk is drawn.
         del units
-    # eigh's eigenvectors and the Gram-Schmidt candidates are unitary to round-off.
     return InvarianceReport(
         best_residual=best_residual,
-        best_measurement=VonNeumannMeasurement(best_unit),
+        best_measurement=best_meas,
         trials=trials,
         reduced_spectrum_degenerate=degenerate,
         best_trial=best,

@@ -284,21 +284,28 @@ def test_lift_overflowing_unitary_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == "error: matrix is not unitary: ||AA^dag - I||_F = nan\n"
 
 
+DEEP = "[" * 100_000 + "]" * 100_000 + "}"
+TRUNCATED_STATE = '{"m": 2, "n": 2, "rho": [[1, 0]'
+
+
 @pytest.mark.parametrize(
-    "command,head,flags",
-    [("classify", '{"m": 2, "n": 2, "rho": ', ()),
-     ("classify", '{"m": 2, "n": 2, "rho": ', ("--no-validate",)),
-     ("lift", '{"m": 2, "u": ', ())],
-    ids=["classify", "classify_no_validate", "lift"],
+    "command,text,flags",
+    [("classify", '{"m": 2, "n": 2, "rho": ' + DEEP, ()),
+     ("classify", '{"m": 2, "n": 2, "rho": ' + DEEP, ("--no-validate",)),
+     ("lift", '{"m": 2, "u": ' + DEEP, ()),
+     ("classify", TRUNCATED_STATE, ()),
+     ("lift", TRUNCATED_STATE, ())],
+    ids=["classify", "classify_no_validate", "lift", "classify_truncated", "lift_truncated"],
 )
-def test_deeply_nested_json_exits_2_with_one_error_line(tmp_path, capsys, command, head, flags):
-    # json.load raises RecursionError on a document nested this deep.
-    path = tmp_path / "deep.json"
-    path.write_text(head + "[" * 100_000 + "]" * 100_000 + "}")
+def test_deeply_nested_json_exits_2_with_one_error_line(tmp_path, capsys, command, text, flags):
+    # json.load raises RecursionError on a document nested this deep, and
+    # JSONDecodeError on a truncated one; either error line names the file.
+    path = tmp_path / "refused.json"
+    path.write_text(text)
     status, out = run_cli(command, str(path), *flags)
     assert status == 2 and out == ""
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

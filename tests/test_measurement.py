@@ -75,6 +75,18 @@ def test_from_unitary_rejects_non_unitary():
         from_unitary(np.array([[1, 1], [0, 1]], dtype=complex))
 
 
+def test_from_unitary_keeps_what_it_checked():
+    # The measurement holds a read-only copy, so editing the input afterwards
+    # cannot make the lift of a checked measurement lose idempotency.
+    u = random_unitary(2, 0)
+    meas = from_unitary(u)
+    before, defect = meas.unitary.copy(), lift_matrix(meas, gell_mann_basis(2)).idempotency_defect
+    u[0, 0] = 5
+    assert np.array_equal(meas.unitary, before) and not np.shares_memory(meas.unitary, u)
+    assert lift_matrix(meas, gell_mann_basis(2)).idempotency_defect == defect
+    assert defect <= MAX_IDEMPOTENCY_DEFECT
+
+
 def test_hadamard_measurement_annihilates_sigma3():
     # In the basis (sigma_1, sigma_2, sigma_3)/sqrt(2) the lift maps sigma_3 to zero.
     lifted = lift_matrix(from_unitary(HADAMARD), pauli_gell_mann_basis(2))
@@ -136,7 +148,8 @@ def test_lift_accepts_every_basis_that_construction_accepts(m):
     tilted = b.elements[0] + 1j * eps * (np.ones((m, m)) - np.eye(m))
     near = HermitianBasis(elements=(tilted,) + b.elements[1:], labels=b.labels)
     fourier = np.exp(2j * np.pi * np.outer(np.arange(m), np.arange(m)) / m) / np.sqrt(m)
-    assert np.abs(measurement._coefficients(fourier, near).imag).max() > DEFAULT_TOL.eq_abs
+    d = measurement._coefficients(from_unitary(fourier), near)
+    assert np.abs(d.imag).max() > DEFAULT_TOL.eq_abs
     for u in (fourier, random_unitary(m, 5), random_unitary(m, 6)):
         meas = from_unitary(u)
         lifted = lift_matrix(meas, near)
@@ -258,8 +271,8 @@ def test_consistency_check_does_not_read_coefficients(monkeypatch):
     assert consistency_check(meas, basis) <= 1e-10
     exact = measurement._coefficients
 
-    def perturbed(u, elements):
-        d = exact(u, elements).copy()
+    def perturbed(meas, elements):
+        d = exact(meas, elements).copy()
         d[0, 0] += 1e-6
         return d
 

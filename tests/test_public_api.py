@@ -83,6 +83,26 @@ def test_array_records_compare_and_hash_by_identity(make):
     assert hash(x) == hash(x) and x in {x} and len({x, copy}) == 2
 
 
+# The arrays each record holds, read from the record that ARRAY_RECORDS (or,
+# for DensityReport, validate_density) makes.
+HELD_ARRAYS = {
+    "BlochForm": lambda x: [x.correlation],
+    "HermitianBasis": lambda x: [x.augmented(), *x.elements],
+    "VonNeumannMeasurement": lambda x: [x.unitary],
+    "LiftedMeasurement": lambda x: [x.matrix],
+    "InvarianceReport": lambda x: [x.best_measurement.unitary],
+    "DensityReport": lambda x: [x.symmetrized],
+}
+MAKERS = {**ARRAY_RECORDS, "DensityReport": lambda: vnlift.validate_density(RHO)}
+
+
+@pytest.mark.parametrize("name", HELD_ARRAYS)
+def test_every_array_a_record_holds_is_read_only(name):
+    for held in HELD_ARRAYS[name](MAKERS[name]()):
+        with pytest.raises(ValueError):
+            held[(0,) * held.ndim] = 0.0
+
+
 def test_verdict_compares_and_hashes_by_value():
     # A verdict holds no array, so equal fields make equal verdicts.
     v = vnlift.classify_state(RHO, 2, 2)["classical_quantum"]

@@ -399,8 +399,8 @@ def test_invariance_search_winner_owns_its_data():
 
 @pytest.mark.parametrize("m,n", list(itertools.product((2, 3, 4), repeat=2)))
 def test_invariance_search_winners_are_unitary(m, n):
-    # The report holds the winner as found, not checked again: eigh's
-    # eigenvectors or a Gram-Schmidt candidate, each unitary to round-off.
+    # The winner passed from_unitary at the default tolerance; eigh's
+    # eigenvectors and a Gram-Schmidt candidate are unitary to round-off.
     tol = Tolerance(eq_abs=1e-12)
     winners = set()
     for rho in (random_classical_quantum(m, n, 31), random_quantum_classical(m, n, 32),
@@ -515,10 +515,19 @@ def test_one_chunk_candidates_are_drawn_once_for_both_sides(monkeypatch):
         assert not cached.flags.writeable
         with pytest.raises(ValueError):
             cached[0, 0, 0] = 0.0
+        # On a classical-classical state the eigenbasis wins on both sides, and
+        # the search reads the same cached set.
+        cc = random_classical_classical(m, m, state_seed)
+        eigen = [invariance_search(cc, m, m, side=side, trials=2000, seed=9)
+                 for side in ("left", "right")]
+        assert calls == [(2000, 2, m, m)], m
+        assert [r.best_trial for r in eigen] == [None, None], m
+        for report in (*warm.values(), *eigen):
+            winner = report.best_measurement.unitary
+            assert not winner.flags.writeable and not np.shares_memory(winner, cached)
         for side, report in warm.items():
             # A random trial wins, so the winner comes from the candidate set.
             assert report.best_trial is not None, (m, side)
-            assert not np.shares_memory(report.best_measurement.unitary, cached)
             sampler._one_chunk_candidates.cache_clear()
             cold = invariance_search(rho, m, m, side=side, trials=2000, seed=9)
             assert cold.best_residual == report.best_residual, (m, side)
