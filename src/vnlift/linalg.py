@@ -141,6 +141,8 @@ def validate_density(rho, tol: Tolerance = DEFAULT_TOL) -> DensityReport:
     rho = as_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise ShapeError(f"density matrix must be square, got {rho.shape}")
+    if rho.size == 0:
+        raise ShapeError("density matrix must not be empty")
     herm, sym = _hermitian_half(rho, tol)
     # np.trace warns when a finite trace overflows; a Python sum does not. abs(t)
     # raises OverflowError when both parts of t are huge: test the real one first.

@@ -50,16 +50,31 @@ class LiftedMeasurement:
         return frobenius(self.matrix @ self.matrix - self.matrix)
 
 
+# The last measurement from_unitary built, with the key of the copy it checked.
+_last: tuple | None = None
+
+
 def from_unitary(a, tol: Tolerance = DEFAULT_TOL) -> VonNeumannMeasurement:
     """The measurement with the rows of ``a``, which must be at least 2 x 2 (no
     basis, lift or C exists at dimension 1) and unitary within ``tol``:
     ||AA^dag - I||_F <= eq_abs. vnlift builds every measurement here, from a
     read-only copy of ``a``, so editing ``a`` afterwards changes nothing.
 
+    The last measurement built is kept: a copy with the same shape, layout and
+    bytes, checked at the same eq_abs, returns it unchecked, so one unitary
+    handed to several of these functions is checked once. Any other input
+    (another entry, -0.0 for 0.0, another eq_abs) is checked afresh, and a
+    refused matrix is never kept.
+
     A NaN or Inf entry makes the defect non-finite, so the finite-entry scan
     runs only once the defect test has failed.
     """
+    global _last
     a = np.array(a, dtype=complex)
+    key = (a.shape, a.strides, tol.eq_abs, a.tobytes())
+    last = _last
+    if last is not None and last[0] == key:
+        return last[1]
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         as_matrix(a)
         raise ShapeError(f"unitary must be square, got {a.shape}")
@@ -75,7 +90,9 @@ def from_unitary(a, tol: Tolerance = DEFAULT_TOL) -> VonNeumannMeasurement:
         as_matrix(a)
         raise UnitarityError(f"matrix is not unitary: ||AA^dag - I||_F = {defect:.3e}")
     a.flags.writeable = False
-    return VonNeumannMeasurement(a)
+    meas = VonNeumannMeasurement(a)
+    _last = (key, meas)
+    return meas
 
 
 def _outer_rows(u: np.ndarray) -> np.ndarray:
@@ -87,10 +104,23 @@ def _coefficients(meas: VonNeumannMeasurement, b: HermitianBasis) -> np.ndarray:
     """D[s, i] = <phi_s|mu_i|phi_s> for the measurement vectors phi_s and the
     elements mu_i of b: one product of _outer_rows(unitary) with the transpose
     of the flattened elements, the rows of b.augmented() after vec I. Every D is
-    formed here, behind the one check that b has the measurement's dimension."""
+    formed here, behind the one check that b has the measurement's dimension.
+
+    When the unitary is read-only and owns its data, as every one from_unitary
+    builds, D is formed once per (measurement, basis), kept with the
+    measurement and returned read-only."""
     if b.dim != meas.dim:
         raise ShapeError(f"basis dim {b.dim} != measurement dim {meas.dim}")
-    return _outer_rows(meas.unitary) @ b.augmented()[1:].T
+    u = meas.unitary
+    if u.flags.writeable or u.base is not None:
+        return _outer_rows(u) @ b.augmented()[1:].T
+    # Kept outside the dataclass fields, so eq, repr and replace ignore it.
+    memo = vars(meas).setdefault("_d_by_basis", {})
+    d = memo.get(b)
+    if d is None:
+        d = memo[b] = _outer_rows(u) @ b.augmented()[1:].T
+        d.flags.writeable = False
+    return d
 
 
 def lift_matrix(meas: VonNeumannMeasurement, b: HermitianBasis) -> LiftedMeasurement:
@@ -110,7 +140,8 @@ def lift_matrix(meas: VonNeumannMeasurement, b: HermitianBasis) -> LiftedMeasure
 def build_C(a) -> np.ndarray:
     """Real m x (m^2-1) coefficient matrix (C1, C2, C3) of a unitary A, checked
     by ``from_unitary``: C[s, i] = <a_s|mu_i|a_s> for row a_s of A and element
-    mu_i of gell_mann_basis(m), so the columns follow its canonical ordering."""
+    mu_i of gell_mann_basis(m), so the columns follow its canonical ordering.
+    C is a read-only view of the D that lift_matrix and consistency_check share."""
     meas = from_unitary(a)
     return _coefficients(meas, gell_mann_basis(meas.dim)).real
 

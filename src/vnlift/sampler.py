@@ -4,6 +4,7 @@ measurement-invariance search used to cross-check rank verdicts."""
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,9 @@ _DEGENERACY_GAP = 1e-6
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
-    seed = int(seed)
+    # operator.index, not int, so that a float seed such as 1.7 raises
+    # TypeError instead of drawing seed 1's stream; numpy integers pass.
+    seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     return np.random.default_rng(np.random.SeedSequence([seed, *key]))
@@ -295,7 +298,7 @@ def invariance_search(
     rng = None if trials <= _CHUNK_TRIALS else _rng(seed, 2)
     for first in range(0, trials, _CHUNK_TRIALS):
         if rng is None:
-            units = _one_chunk_candidates(int(seed), m, trials)
+            units = _one_chunk_candidates(operator.index(seed), m, trials)
         else:
             count = min(_CHUNK_TRIALS, trials - first)
             units = _unitaries_by_gram_schmidt(rng.standard_normal((count, 2, m, m)))

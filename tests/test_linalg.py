@@ -8,6 +8,7 @@ from vnlift import (
     ShapeError,
     Tolerance,
     UnitarityError,
+    classify_state,
     from_unitary,
     numerical_rank,
     random_unitary,
@@ -175,6 +176,15 @@ def test_psd_decision_matches_the_smallest_eigenvalue(kind, d, tol):
         assert expected == (kind != "below_cutoff")
         report = validate_density(rho, tol)
         assert report.psd == expected
+
+
+def test_validate_density_rejects_an_empty_matrix():
+    # A 0 x 0 report would have no smallest eigenvalue to read, so
+    # classify_state would fail later with an IndexError.
+    with pytest.raises(ShapeError, match="must not be empty"):
+        validate_density(np.zeros((0, 0)))
+    with pytest.raises(ShapeError, match="must not be empty"):
+        classify_state(np.zeros((0, 0)), 0, 3)
 
 
 def test_validate_density_maximally_mixed():

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from vnlift import (
     HermitianBasis,
     LiftedMeasurement,
     ShapeError,
+    Tolerance,
     UnitarityError,
     VonNeumannMeasurement,
     build_C,
@@ -278,3 +281,151 @@ def test_consistency_check_does_not_read_coefficients(monkeypatch):
 
     monkeypatch.setattr(measurement, "_coefficients", perturbed)
     assert consistency_check(meas, basis) >= 1e-7
+
+
+def test_from_unitary_serves_a_byte_identical_input_its_last_measurement(monkeypatch):
+    monkeypatch.setattr(measurement, "_last", None)
+    u = random_unitary(3, 31)
+    meas = from_unitary(u)
+    assert from_unitary(u.copy()) is meas and from_unitary(u.tolist()) is meas
+    assert from_unitary(u, Tolerance(eq_abs=DEFAULT_TOL.eq_abs)) is meas
+
+
+def test_one_unitary_is_checked_once_across_the_measurement_functions(monkeypatch):
+    monkeypatch.setattr(measurement, "_last", None)
+    built = []
+
+    def counted(a):
+        built.append(a)
+        return VonNeumannMeasurement(a)
+
+    monkeypatch.setattr(measurement, "VonNeumannMeasurement", counted)
+    u = random_unitary(4, 35)
+    meas = from_unitary(u)
+    build_C(u), build_C0(u)
+    assert len(built) == 1 and from_unitary(u) is meas
+
+
+def test_from_unitary_checks_any_other_input_afresh(monkeypatch):
+    monkeypatch.setattr(measurement, "_last", None)
+    u = random_unitary(2, 32)
+    meas = from_unitary(u)
+    edited = u.copy()
+    edited[0, 0] *= 2
+    with pytest.raises(UnitarityError):
+        from_unitary(edited)
+    # Another memory layout is checked again too, so the measurement keeps the
+    # layout of its input, as a fresh one would.
+    assert from_unitary(np.asfortranarray(u)).unitary.flags.f_contiguous
+    # -0.0 equals 0.0 but has other bytes, so it is checked again.
+    eye = from_unitary(np.eye(2))
+    signed = np.eye(2, dtype=complex)
+    signed[0, 1] = -0.0
+    assert from_unitary(signed) is not eye
+    assert from_unitary(u) is not meas
+    # A matrix accepted at a looser eq_abs is still refused at the default
+    # right after, and one accepted at the default is refused at a stricter one.
+    for defect, loose, strict in ((1e-8, 1e-6, DEFAULT_TOL.eq_abs),
+                                  (1e-11, DEFAULT_TOL.eq_abs, 1e-12)):
+        near = np.diag([1.0 + defect, 1.0])
+        assert from_unitary(near, Tolerance(eq_abs=loose)).dim == 2
+        with pytest.raises(UnitarityError):
+            from_unitary(near, Tolerance(eq_abs=strict))
+
+
+def test_from_unitary_never_serves_a_refused_matrix(monkeypatch):
+    monkeypatch.setattr(measurement, "_last", None)
+    u = random_unitary(2, 33)
+    meas = from_unitary(u)
+    bad = np.array([[1, 1], [0, 1]], dtype=complex)
+    for build in (from_unitary, build_C, build_C0, from_unitary):
+        with pytest.raises(UnitarityError):
+            build(bad)
+    assert from_unitary(u) is meas
+
+
+def test_coefficients_are_formed_once_per_measurement_and_basis(monkeypatch):
+    monkeypatch.setattr(measurement, "_last", None)
+    calls = []
+    outer_rows = measurement._outer_rows
+
+    def counted(u):
+        calls.append(len(u))
+        return outer_rows(u)
+
+    monkeypatch.setattr(measurement, "_outer_rows", counted)
+    u = random_unitary(3, 34)
+    meas = from_unitary(u)
+    canonical, textbook = gell_mann_basis(3), pauli_gell_mann_basis(3)
+    for _ in range(2):
+        lift_matrix(meas, canonical)
+        c = build_C(u)
+        consistency_check(meas, canonical)
+    assert calls == [3]
+    lift_matrix(meas, textbook)
+    consistency_check(meas, textbook)
+    lift_matrix(meas, canonical)
+    assert calls == [3, 3]
+    # C is a read-only view of the shared D.
+    d = measurement._coefficients(meas, canonical)
+    assert not d.flags.writeable and not c.flags.writeable and np.shares_memory(c, d)
+    assert calls == [3, 3]
+
+
+def test_coefficients_of_a_writable_unitary_are_formed_every_time():
+    # Nothing is kept for a measurement whose unitary can change under it.
+    meas = VonNeumannMeasurement(np.eye(2, dtype=complex))
+    basis = gell_mann_basis(2)
+    before = measurement._coefficients(meas, basis)
+    meas.unitary[:] = HADAMARD
+    after = measurement._coefficients(meas, basis)
+    assert np.array_equal(after, measurement._coefficients(from_unitary(HADAMARD), basis))
+    assert not np.array_equal(before, after)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_kept_results_match_a_fresh_evaluation_bit_for_bit(monkeypatch, m):
+    monkeypatch.setattr(measurement, "_last", None)
+    basis = gell_mann_basis(m)
+
+    def evaluate(u):
+        meas = from_unitary(u)
+        return (lift_matrix(meas, basis).matrix, build_C(u), build_C0(u),
+                consistency_check(meas, basis))
+
+    for k in range(5):
+        u = random_unitary(m, 400 * m + k)
+        first, kept = evaluate(u), evaluate(u)
+        from_unitary(np.eye(m))
+        fresh = evaluate(u)
+        for a, b, c in zip(first, kept, fresh):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes() == np.asarray(c).tobytes()
+        # A measurement that keeps nothing forms the same M and deviation.
+        plain = VonNeumannMeasurement(np.array(u, dtype=complex))
+        assert lift_matrix(plain, basis).matrix.tobytes() == first[0].tobytes()
+        assert consistency_check(plain, basis) == first[3]
+
+
+def test_from_unitary_serves_each_thread_its_own_matrix(monkeypatch):
+    # The kept measurement is shared by every caller in the process; a race
+    # may cost a second check but must never hand one thread another's matrix.
+    monkeypatch.setattr(measurement, "_last", None)
+    unitaries = [random_unitary(3, 500 + k) for k in range(4)]
+    wrong = []
+
+    def work(u):
+        for _ in range(300):
+            if not np.array_equal(from_unitary(u).unitary, u):
+                wrong.append(u)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(u,)) for u in unitaries * 2]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not wrong

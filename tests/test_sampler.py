@@ -495,6 +495,20 @@ def test_invariance_search_rejects_negative_seed():
         invariance_search(rho, 2, 2, seed=-1)
 
 
+def test_seeds_must_be_integers():
+    # A float seed used to be truncated, so 1.7 drew seed 1's stream.
+    rho = random_density(4, 1)
+    for make, args in ((random_unitary, (2,)), (random_density, (4,))):
+        with pytest.raises(TypeError):
+            make(*args, 1.7)
+        assert np.array_equal(make(*args, np.int64(1)), make(*args, 1))
+    for trials in (50, sampler._CHUNK_TRIALS + 1):
+        with pytest.raises(TypeError):
+            invariance_search(rho, 2, 2, trials=trials, seed=1.7)
+    report = invariance_search(rho, 2, 2, trials=50, seed=np.int64(1))
+    assert report.best_residual == invariance_search(rho, 2, 2, trials=50, seed=1).best_residual
+
+
 def test_one_chunk_candidates_are_drawn_once_for_both_sides(monkeypatch):
     sampler._one_chunk_candidates.cache_clear()
     gram_schmidt = sampler._unitaries_by_gram_schmidt
