@@ -310,6 +310,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed stdout: exit 128 + SIGPIPE, as a killed writer
+        # would, and let the final flush go to devnull rather than fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError, MemoryError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

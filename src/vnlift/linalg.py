@@ -69,10 +69,6 @@ def _finite_matrix(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def frobenius(a) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
-
-
 def singular_values(a) -> np.ndarray:
     """Singular values, largest first, of a finite, non-empty 2-D matrix."""
     a = np.asarray(a)

@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import HermitianBasis, gell_mann_basis
-from .linalg import DEFAULT_TOL, ShapeError, Tolerance, UnitarityError, as_matrix, frobenius
+from .linalg import DEFAULT_TOL, ShapeError, Tolerance, UnitarityError, as_matrix
 
 # Structural bounds a lifted measurement must meet: ||M^2 - M||_F, and the
 # deviation that consistency_check reports.
@@ -47,10 +47,11 @@ class LiftedMeasurement:
 
     @property
     def idempotency_defect(self) -> float:
-        return frobenius(self.matrix @ self.matrix - self.matrix)
+        return float(np.linalg.norm(self.matrix @ self.matrix - self.matrix))
 
 
-# The last measurement from_unitary built, with the key of the copy it checked.
+# The last measurement from_unitary built, with the key of the copy it
+# checked and the D of each basis it was lifted in: (key, meas, {basis: D}).
 _last: tuple | None = None
 
 
@@ -58,20 +59,20 @@ def from_unitary(a, tol: Tolerance = DEFAULT_TOL) -> VonNeumannMeasurement:
     """The measurement with the rows of ``a``, which must be at least 2 x 2 (no
     basis, lift or C exists at dimension 1) and unitary within ``tol``:
     ||AA^dag - I||_F <= eq_abs. vnlift builds every measurement here, from a
-    read-only copy of ``a``, so editing ``a`` afterwards changes nothing.
+    read-only C-ordered copy of ``a``, so editing ``a`` afterwards changes nothing.
 
-    The last measurement built is kept: a copy with the same shape, layout and
-    bytes, checked at the same eq_abs, returns it unchecked, so one unitary
-    handed to several of these functions is checked once. Any other input
-    (another entry, -0.0 for 0.0, another eq_abs) is checked afresh, and a
-    refused matrix is never kept.
+    The last measurement built is kept: a copy with the same shape and bytes,
+    checked at the same eq_abs, returns it unchecked, so one unitary handed to
+    several of these functions is checked once. Any other input (another
+    entry, -0.0 for 0.0, another eq_abs) is checked afresh, and a refused
+    matrix is never kept.
 
     A NaN or Inf entry makes the defect non-finite, so the finite-entry scan
     runs only once the defect test has failed.
     """
     global _last
-    a = np.array(a, dtype=complex)
-    key = (a.shape, a.strides, tol.eq_abs, a.tobytes())
+    a = np.array(a, dtype=complex, order="C")
+    key = (a.shape, tol.eq_abs, a.tobytes())
     last = _last
     if last is not None and last[0] == key:
         return last[1]
@@ -91,7 +92,7 @@ def from_unitary(a, tol: Tolerance = DEFAULT_TOL) -> VonNeumannMeasurement:
         raise UnitarityError(f"matrix is not unitary: ||AA^dag - I||_F = {defect:.3e}")
     a.flags.writeable = False
     meas = VonNeumannMeasurement(a)
-    _last = (key, meas)
+    _last = (key, meas, {})
     return meas
 
 
@@ -105,20 +106,15 @@ def _coefficients(meas: VonNeumannMeasurement, b: HermitianBasis) -> np.ndarray:
     elements mu_i of b: one product of _outer_rows(unitary) with the transpose
     of the flattened elements, the rows of b.augmented() after vec I. Every D is
     formed here, behind the one check that b has the measurement's dimension.
-
-    When the unitary is read-only and owns its data, as every one from_unitary
-    builds, D is formed once per (measurement, basis), kept with the
-    measurement and returned read-only."""
+    D is read-only, and is kept per basis while meas is from_unitary's last
+    measurement."""
     if b.dim != meas.dim:
         raise ShapeError(f"basis dim {b.dim} != measurement dim {meas.dim}")
-    u = meas.unitary
-    if u.flags.writeable or u.base is not None:
-        return _outer_rows(u) @ b.augmented()[1:].T
-    # Kept outside the dataclass fields, so eq, repr and replace ignore it.
-    memo = vars(meas).setdefault("_d_by_basis", {})
-    d = memo.get(b)
+    last = _last
+    kept = last[2] if last is not None and last[1] is meas else {}
+    d = kept.get(b)
     if d is None:
-        d = memo[b] = _outer_rows(u) @ b.augmented()[1:].T
+        d = kept[b] = _outer_rows(meas.unitary) @ b.augmented()[1:].T
         d.flags.writeable = False
     return d
 

@@ -4,6 +4,8 @@ import io
 import itertools
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from types import SimpleNamespace
 
@@ -51,6 +53,19 @@ def test_basis_too_large_to_allocate_exits_2(monkeypatch, capsys):
     assert status == 2 and out == ""
     assert capsys.readouterr().err == (
         "error: Unable to allocate 73.7 TiB for the basis of dimension 1500\n")
+
+
+def test_basis_into_a_closed_pipe_exits_141_silently():
+    # basis 8 prints about 208 KB, more than a pipe holds, so closing the read
+    # end after a few bytes always fails a write.
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.Popen([sys.executable, "-m", "vnlift", "basis", "8"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(20)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141 and err == b""
 
 
 def test_lift_subcommand_hadamard():

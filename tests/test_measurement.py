@@ -314,9 +314,9 @@ def test_from_unitary_checks_any_other_input_afresh(monkeypatch):
     edited[0, 0] *= 2
     with pytest.raises(UnitarityError):
         from_unitary(edited)
-    # Another memory layout is checked again too, so the measurement keeps the
-    # layout of its input, as a fresh one would.
-    assert from_unitary(np.asfortranarray(u)).unitary.flags.f_contiguous
+    # The key is the content, not the layout: a Fortran-ordered copy is served
+    # the same measurement, whose unitary is C-ordered.
+    assert from_unitary(np.asfortranarray(u)) is meas and meas.unitary.flags.c_contiguous
     # -0.0 equals 0.0 but has other bytes, so it is checked again.
     eye = from_unitary(np.eye(2))
     signed = np.eye(2, dtype=complex)
@@ -373,7 +373,8 @@ def test_coefficients_are_formed_once_per_measurement_and_basis(monkeypatch):
 
 
 def test_coefficients_of_a_writable_unitary_are_formed_every_time():
-    # Nothing is kept for a measurement whose unitary can change under it.
+    # Nothing is kept for a measurement that from_unitary did not build last,
+    # such as one whose unitary can change under it.
     meas = VonNeumannMeasurement(np.eye(2, dtype=complex))
     basis = gell_mann_basis(2)
     before = measurement._coefficients(meas, basis)
@@ -381,6 +382,27 @@ def test_coefficients_of_a_writable_unitary_are_formed_every_time():
     after = measurement._coefficients(meas, basis)
     assert np.array_equal(after, measurement._coefficients(from_unitary(HADAMARD), basis))
     assert not np.array_equal(before, after)
+
+
+def test_an_evicted_measurement_forms_its_coefficients_afresh(monkeypatch):
+    monkeypatch.setattr(measurement, "_last", None)
+    calls = []
+    outer_rows = measurement._outer_rows
+
+    def counted(u):
+        calls.append(len(u))
+        return outer_rows(u)
+
+    monkeypatch.setattr(measurement, "_outer_rows", counted)
+    basis = gell_mann_basis(3)
+    meas = from_unitary(random_unitary(3, 36))
+    kept = lift_matrix(meas, basis).matrix.tobytes(), consistency_check(meas, basis)
+    assert calls == [3]
+    from_unitary(np.eye(3))
+    for _ in range(2):
+        assert lift_matrix(meas, basis).matrix.tobytes() == kept[0]
+        assert consistency_check(meas, basis) == kept[1]
+    assert calls == [3] * 5
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6])
@@ -407,21 +429,24 @@ def test_kept_results_match_a_fresh_evaluation_bit_for_bit(monkeypatch, m):
 
 
 def test_from_unitary_serves_each_thread_its_own_matrix(monkeypatch):
-    # The kept measurement is shared by every caller in the process; a race
-    # may cost a second check but must never hand one thread another's matrix.
+    # The kept measurement and its D are shared by every caller in the process;
+    # a race may cost a second check or product but must never hand one thread
+    # another's matrix or C.
     monkeypatch.setattr(measurement, "_last", None)
     unitaries = [random_unitary(3, 500 + k) for k in range(4)]
+    expected = [build_C(u).tobytes() for u in unitaries]
     wrong = []
 
-    def work(u):
+    def work(u, c):
         for _ in range(300):
-            if not np.array_equal(from_unitary(u).unitary, u):
+            if not np.array_equal(from_unitary(u).unitary, u) or build_C(u).tobytes() != c:
                 wrong.append(u)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(u,)) for u in unitaries * 2]
+        threads = [threading.Thread(target=work, args=(u, c))
+                   for u, c in zip(unitaries * 2, expected * 2)]
         for t in threads:
             t.start()
         for t in threads:
