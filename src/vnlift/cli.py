@@ -309,10 +309,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except BrokenPipeError:
-        # The reader closed stdout: exit 128 + SIGPIPE, as a killed writer
-        # would, and let the final flush go to devnull rather than fail again.
+        # The reader closed stdout, seen in a write or the flush above: exit 128 +
+        # SIGPIPE, as a killed writer would; the final flush then goes to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except (ValueError, OSError, MemoryError, RecursionError) as exc:

@@ -68,6 +68,23 @@ def test_basis_into_a_closed_pipe_exits_141_silently():
     assert proc.wait(timeout=60) == 141 and err == b""
 
 
+def test_small_output_into_a_closed_pipe_exits_141_silently():
+    # lift's report fits in stdout's buffer, so the broken pipe surfaces only
+    # when that buffer is flushed; the read end is closed before the start.
+    # PYTHONUNBUFFERED would make print itself fail, so it is dropped.
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "vnlift", "lift",
+                               os.path.join(FIXDIR, "hadamard2.json")], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141 and proc.stderr == b""
+
+
 def test_lift_subcommand_hadamard():
     status, out = run_cli("lift", os.path.join(FIXDIR, "hadamard2.json"))
     assert status == 0
