@@ -39,7 +39,6 @@ from .measurement import (
 from .sampler import (
     InvarianceReport,
     invariance_search,
-    partial_trace,
     random_classical_classical,
     random_classical_quantum,
     random_density,

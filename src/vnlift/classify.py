@@ -93,9 +93,6 @@ class BellDiagonalSpec:
     t2: float
     t3: float
 
-    def as_vector(self) -> np.ndarray:
-        return np.array([self.t1, self.t2, self.t3])
-
     def eigenvalues(self) -> np.ndarray:
         t1, t2, t3 = self.t1, self.t2, self.t3
         return np.array(
@@ -127,8 +124,9 @@ def classify_bell_diagonal(
     of the t_i is nonzero; it is separable exactly when (t1, t2, t3) lies in
     the octahedron |t1|+|t2|+|t3| <= 1.
     """
+    t = np.array([spec.t1, spec.t2, spec.t3])
     # A NaN fails every comparison, so the tetrahedron check below would pass it.
-    if not np.all(np.isfinite(spec.as_vector())):
+    if not np.all(np.isfinite(t)):
         raise InvalidStateError(
             f"correlations must be finite, got ({spec.t1}, {spec.t2}, {spec.t3})"
         )
@@ -136,7 +134,7 @@ def classify_bell_diagonal(
         raise InvalidStateError(
             "correlations lie outside the Bell-diagonal state tetrahedron"
         )
-    t = np.abs(spec.as_vector())
+    t = np.abs(t)
     nonzero = rank_of_spectrum(np.sort(t)[::-1], tol)
     separable = float(t.sum()) <= 1.0 + tol.eq_abs
     return BellDiagonalVerdict(separable=separable, nonzero_correlations=nonzero)

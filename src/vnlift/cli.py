@@ -17,13 +17,8 @@ from .classify import BellDiagonalSpec, classify_bell_diagonal, classify_state
 from .linalg import DEFAULT_TOL, Tolerance, numerical_rank
 from .measurement import (MAX_CONSISTENCY_RESIDUAL, MAX_IDEMPOTENCY_DEFECT, build_C, build_C0,
                           consistency_check, from_unitary, lift_matrix)
-from .sampler import (
-    InvarianceReport,
-    invariance_search,
-    random_classical_classical,
-    random_classical_quantum,
-    random_unitary,
-)
+from .sampler import (InvarianceReport, _checked_seed, invariance_search,
+                      random_classical_classical, random_classical_quantum, random_unitary)
 
 
 def matrix_to_pairs(a: np.ndarray) -> list:
@@ -139,6 +134,8 @@ def cmd_lift(args) -> int:
 
 def cmd_classify(args) -> int:
     tol = Tolerance(args.tol_rank, args.tol_eq)
+    # Refused by the search's own rules before any screen runs; 0 trials is no search.
+    _checked_seed(args.seed, args.oracle or 1)
     m, n, rho = load_state(args.state)
     verdicts = classify_state(rho, m, n, tol, validate=not args.no_validate)
     oracle = {}
@@ -193,7 +190,7 @@ _LIFT_SAMPLES = 500
 
 def cmd_selftest(args) -> int:
     tol = DEFAULT_TOL
-    seed = args.seed
+    seed = _checked_seed(args.seed)
     rows = []
 
     def record(name, ok):

@@ -69,16 +69,6 @@ def _finite_matrix(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def singular_values(a) -> np.ndarray:
-    """Singular values, largest first, of a finite, non-empty 2-D matrix."""
-    a = np.asarray(a)
-    # Real input keeps the float SVD, about 1.5x faster than the complex one.
-    a = _finite_matrix(a.astype(complex if a.dtype.kind == "c" else float, copy=False))
-    if a.size == 0:
-        raise ShapeError("rank of an empty matrix is undefined")
-    return np.linalg.svd(a, compute_uv=False)
-
-
 def rank_of_spectrum(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     """Count the singular values ``s`` (largest first) above rank_rel times
     the largest one; zero when the largest is at most eq_abs."""
@@ -89,11 +79,17 @@ def rank_of_spectrum(s: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
 
 
 def numerical_rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Count singular values above rank_rel times the largest one.
+    """Count the singular values of a finite, non-empty 2-D matrix above
+    rank_rel times the largest one.
 
     A matrix whose largest singular value is at most eq_abs counts as zero.
     """
-    return rank_of_spectrum(singular_values(a), tol)
+    a = np.asarray(a)
+    # Real input keeps the float SVD, about 1.5x faster than the complex one.
+    a = _finite_matrix(a.astype(complex if a.dtype.kind == "c" else float, copy=False))
+    if a.size == 0:
+        raise ShapeError("rank of an empty matrix is undefined")
+    return rank_of_spectrum(np.linalg.svd(a, compute_uv=False), tol)
 
 
 def _hermitian_half(a: np.ndarray, tol: Tolerance) -> tuple[bool, np.ndarray]:

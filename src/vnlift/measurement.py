@@ -18,13 +18,12 @@ MAX_IDEMPOTENCY_DEFECT = 1e-9
 MAX_CONSISTENCY_RESIDUAL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class VonNeumannMeasurement:
-    """Complete projective measurement on an m-dimensional system.
-
-    Row i of ``unitary`` holds the coefficients of the i-th measurement
-    vector, so the projectors are the outer products of the rows.
-    """
+    """Complete projective measurement on an m-dimensional system, built only by
+    ``from_unitary``: the class has no __init__, so calling it with a matrix, or
+    ``dataclasses.replace``, raises TypeError. Row i of ``unitary`` holds the
+    coefficients of the i-th measurement vector; the projectors are their outer products."""
 
     unitary: np.ndarray
 
@@ -32,16 +31,12 @@ class VonNeumannMeasurement:
     def dim(self) -> int:
         return len(self.unitary)
 
-    def projectors(self) -> np.ndarray:
-        """(m, m, m) array; slice i is |phi_i><phi_i|."""
-        u = self.unitary
-        return u[:, :, np.newaxis] * u.conj()[:, np.newaxis, :]
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class LiftedMeasurement:
     """Real (m^2-1) x (m^2-1) matrix representing a measurement's action on
-    an orthonormal traceless-Hermitian basis; idempotent with rank m-1."""
+    an orthonormal traceless-Hermitian basis; idempotent with rank m-1. Built only
+    by ``lift_matrix``, with no __init__, like VonNeumannMeasurement."""
 
     matrix: np.ndarray
 
@@ -91,7 +86,8 @@ def from_unitary(a, tol: Tolerance = DEFAULT_TOL) -> VonNeumannMeasurement:
         as_matrix(a)
         raise UnitarityError(f"matrix is not unitary: ||AA^dag - I||_F = {defect:.3e}")
     a.flags.writeable = False
-    meas = VonNeumannMeasurement(a)
+    meas = object.__new__(VonNeumannMeasurement)
+    object.__setattr__(meas, "unitary", a)
     _last = (key, meas, {})
     return meas
 
@@ -128,9 +124,11 @@ def lift_matrix(meas: VonNeumannMeasurement, b: HermitianBasis) -> LiftedMeasure
     imaginary part is then of that order, and is not checked again here.
     """
     d = _coefficients(meas, b).real
-    lifted = d.T @ d
-    lifted.flags.writeable = False
-    return LiftedMeasurement(lifted)
+    matrix = d.T @ d
+    matrix.flags.writeable = False
+    lifted = object.__new__(LiftedMeasurement)
+    object.__setattr__(lifted, "matrix", matrix)
+    return lifted
 
 
 def build_C(a) -> np.ndarray:
@@ -168,8 +166,9 @@ def consistency_check(meas: VonNeumannMeasurement, b: HermitianBasis) -> float:
     sum_s D[s, i] P_s that the coefficient matrix D in b predicts. S never reads
     D, which is formed first, so a basis of another dimension raises first."""
     d = _coefficients(meas, b)
-    m = meas.dim
-    proj = meas.projectors().reshape(m, m * m)
+    m, u = meas.dim, meas.unitary
+    # Row s is P_s = |phi_s><phi_s|, flattened row-major.
+    proj = (u[:, :, np.newaxis] * u.conj()[:, np.newaxis, :]).reshape(m, m * m)
     superop = (proj.T @ proj).reshape(m, m, m, m).transpose(1, 2, 0, 3).reshape(m * m, m * m)
     applied = b.augmented()[1:] @ superop
     return float(np.abs(applied - d.T @ proj).max())

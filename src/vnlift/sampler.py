@@ -15,13 +15,20 @@ from .measurement import VonNeumannMeasurement, from_unitary
 _DEGENERACY_GAP = 1e-6
 
 
-def _rng(seed: int, *key: int) -> np.random.Generator:
+def _checked_seed(seed: int, trials: int = 1) -> int:
+    """``seed`` as an int; refuses a negative or non-integer seed and trials < 1."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     # operator.index, not int, so that a float seed such as 1.7 raises
     # TypeError instead of drawing seed 1's stream; numpy integers pass.
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    return np.random.default_rng(np.random.SeedSequence([seed, *key]))
+    return seed
+
+
+def _rng(seed: int, *key: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([_checked_seed(seed), *key]))
 
 
 def _gaussian_complex(rng: np.random.Generator, shape) -> np.ndarray:
@@ -145,15 +152,6 @@ def random_classical_classical(m: int, n: int, seed: int) -> np.ndarray:
     return rho.reshape(m * n, m * n)
 
 
-def partial_trace(rho, m: int, n: int, keep: str) -> np.ndarray:
-    rho4 = as_state(rho, m, n).reshape(m, n, m, n)
-    if keep == "a":
-        return np.einsum("abcb->ac", rho4)
-    if keep == "b":
-        return np.einsum("abad->bd", rho4)
-    raise ValueError(f"keep must be 'a' or 'b', got {keep!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class InvarianceReport:
     best_residual: float
@@ -248,6 +246,8 @@ def invariance_search(
     """Minimize ||channel(H) - H||_F over random von Neumann measurements on one
     side, for H = rho/2 + rho^dag/2, the Hermitian part that the screens read,
     with the eigenbasis of the reduced state H_A as a deterministic candidate.
+    rho is checked once, by as_state, and the seed and trial count before any
+    search runs; the right side is read as a view of H with its factors swapped.
     A state too large to search without overflow raises ValueError.
 
     The eigenbasis is scored first. A random trial is then scored only if a
@@ -269,8 +269,7 @@ def invariance_search(
     if m < 2 or n < 2:
         raise ValueError("both local dimensions must be at least 2")
     rho = as_state(rho, m, n)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    seed = _checked_seed(seed, trials)
     # H as validate_density forms it: rho bit for bit if that is exactly
     # Hermitian, and H_A is exactly Hermitian. The largest values formed below,
     # H_A's squared eigenvalues and spread, are at most half the bound tested.
@@ -279,12 +278,13 @@ def invariance_search(
     norm2 = float(np.vdot(rho, rho).real)
     if not 4.0 * max(m, n) * norm2 < np.inf:
         raise ValueError("state too large for the invariance search: ||rho||_F^2 nears overflow")
+    rho4 = rho.reshape(m, n, m, n)
     if side == "right":
-        rho, m, n = swap_subsystems(rho, m, n), n, m
-    evals, evecs = np.linalg.eigh(partial_trace(rho, m, n, keep="a"))
+        rho4, m, n = rho4.transpose(1, 0, 3, 2), n, m
+    evals, evecs = np.linalg.eigh(np.einsum("abcb->ac", rho4))
     degenerate = bool(np.min(np.diff(evals)) < _DEGENERACY_GAP)
     # Row i of a measurement unitary is the coefficient vector of |phi_i>.
-    rho4, best_meas = rho.reshape(m, n, m, n), from_unitary(evecs.T)
+    best_meas = from_unitary(evecs.T)
     eigenbasis_residual = float(_measured_residuals(rho4, best_meas.unitary[None])[0])
     best, best_residual = None, eigenbasis_residual
     margin = _PRUNE_MARGIN * np.sqrt(norm2)
@@ -298,7 +298,7 @@ def invariance_search(
     rng = None if trials <= _CHUNK_TRIALS else _rng(seed, 2)
     for first in range(0, trials, _CHUNK_TRIALS):
         if rng is None:
-            units = _one_chunk_candidates(operator.index(seed), m, trials)
+            units = _one_chunk_candidates(seed, m, trials)
         else:
             count = min(_CHUNK_TRIALS, trials - first)
             units = _unitaries_by_gram_schmidt(rng.standard_normal((count, 2, m, m)))

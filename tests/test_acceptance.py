@@ -7,6 +7,7 @@ read the captured output) to see the table.
 import time
 
 import numpy as np
+import pytest
 
 from vnlift import (
     BellDiagonalSpec,
@@ -203,6 +204,26 @@ def test_criterion_8_oracle_agreement():
             rep = invariance_search(rho, 2, 2, side="right", trials=trials, seed=7)
             assert rep.best_residual <= 1e-10
     report(8, time.perf_counter() - start, 300.0)
+
+
+@pytest.mark.xfail(strict=True, reason="the oracle cannot certify a classical state whose "
+                   "reduced state is degenerate; ROADMAP direction 1 adds the candidate that can")
+def test_oracle_certifies_a_classical_state_with_degenerate_marginals():
+    # The Bell-diagonal state with t = (0.3, 0, 0) is classical-classical, and
+    # both its reduced states are I/2, so the eigenbasis candidate is arbitrary.
+    # Every screen passes it and the exact classifier finds no quantum
+    # correlation, yet 2000 random trials at seed 0 read 0.0109 on each side,
+    # above the 0.01 that criterion 8 reads as ruled out.
+    rho = bell_diagonal_state(0.3, 0.0, 0.0)
+    bf = decompose(rho, gell_mann_basis(2), gell_mann_basis(2))
+    for screen in (check_classical_quantum, check_quantum_classical,
+                   check_classical_classical, dakic_condition):
+        assert not screen(bf).ruled_out
+    assert not classify_bell_diagonal(BellDiagonalSpec(0.3, 0.0, 0.0)).quantum_quantum
+    for side in ("left", "right"):
+        rep = invariance_search(rho, 2, 2, side=side, trials=2000, seed=0)
+        assert rep.reduced_spectrum_degenerate
+        assert rep.best_residual <= 1e-10, side
 
 
 def test_criterion_9_round_trip():

@@ -550,18 +550,34 @@ def test_selftest_row_fails_alone(monkeypatch, target, fake, row):
     assert lines[-1] == "8/9 checks passed"
 
 
+def _never_called(*args, **kwargs):
+    raise AssertionError("ran before the seed and trial count were checked")
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv,target",
     [
-        ("classify", os.path.join(FIXDIR, "rho0_x_2.json"), "--oracle", "5", "--seed", "-1"),
-        ("selftest", "--seed", "-1"),
+        (("classify", os.path.join(FIXDIR, "rho0_x_2.json"), "--oracle", "5", "--seed", "-1"),
+         "classify_state"),
+        (("selftest", "--seed", "-1"), "lift_matrix"),
+        # The seed is refused even when no search would read it.
+        (("classify", os.path.join(FIXDIR, "rho0_x_2.json"), "--seed", "-1"), "classify_state"),
     ],
-    ids=["classify_oracle", "selftest"],
+    ids=["classify_oracle", "selftest", "classify_no_oracle"],
 )
-def test_negative_seed_exits_2(capsys, argv):
-    status, _ = run_cli(*argv)
-    assert status == 2
+def test_negative_seed_exits_2(monkeypatch, capsys, argv, target):
+    # Refused before any screen, lift or search runs.
+    monkeypatch.setattr(cli, target, _never_called)
+    status, out = run_cli(*argv)
+    assert status == 2 and out == ""
     assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+
+
+def test_negative_trial_count_exits_2_before_the_screens(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "classify_state", _never_called)
+    status, out = run_cli("classify", os.path.join(FIXDIR, "rho0_x_2.json"), "--oracle", "-3")
+    assert status == 2 and out == ""
+    assert capsys.readouterr().err == "error: trials must be at least 1\n"
 
 
 def test_oracle_report_is_the_same_from_a_warm_candidate_set(tmp_path):

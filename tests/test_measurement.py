@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -59,15 +61,21 @@ def closed_form_C0(a):
     return np.column_stack(cols).astype(complex)
 
 
+def projectors(meas):
+    """(m, m, m) array whose slice i is |phi_i><phi_i| for the rows phi_i of the unitary."""
+    u = meas.unitary
+    return u[:, :, np.newaxis] * u.conj()[:, np.newaxis, :]
+
+
 def test_from_unitary_computational_basis():
     meas = from_unitary(np.eye(2))
-    proj = meas.projectors()
+    proj = projectors(meas)
     assert np.allclose(proj[0], np.diag([1.0, 0.0]))
     assert np.allclose(proj[1], np.diag([0.0, 1.0]))
 
 
 def test_from_unitary_hadamard():
-    proj = from_unitary(HADAMARD).projectors()
+    proj = projectors(from_unitary(HADAMARD))
     plus = np.full((2, 2), 0.5)
     assert np.allclose(proj[0], plus)
     assert np.allclose(proj[1], np.array([[0.5, -0.5], [-0.5, 0.5]]))
@@ -121,16 +129,35 @@ def test_lift_rejects_dimension_mismatch():
 
 
 def test_measurement_reads_its_dimension_from_the_unitary():
-    # A measurement built directly, not through from_unitary, still has the
-    # unitary's dimension, so a basis of another dimension is refused by name
-    # before numpy sees the two shapes.
-    meas = VonNeumannMeasurement(np.eye(2))
+    # A measurement has its unitary's dimension, so a basis of another
+    # dimension is refused by name before numpy sees the two shapes.
+    meas = from_unitary(np.eye(2))
     assert meas.dim == 2
     for apply in (lift_matrix, consistency_check):
         with pytest.raises(ShapeError, match="basis dim 3 != measurement dim 2"):
             apply(meas, gell_mann_basis(3))
     assert [f.name for f in dataclasses.fields(VonNeumannMeasurement)] == ["unitary"]
     assert [f.name for f in dataclasses.fields(LiftedMeasurement)] == ["matrix"]
+
+
+def test_measurement_records_have_one_constructor_each():
+    # from_unitary and lift_matrix are the only ways in: calling either class
+    # or dataclasses.replace would skip the checks behind them.
+    meas = from_unitary(HADAMARD)
+    lifted = lift_matrix(meas, gell_mann_basis(2))
+    for record, cls, field in ((meas, VonNeumannMeasurement, "unitary"),
+                               (lifted, LiftedMeasurement, "matrix")):
+        value = getattr(record, field)
+        for build in (lambda: cls(value), lambda: cls(**{field: value}),
+                      lambda: cls(np.array([[1, 2], [3, 4]])),
+                      lambda: dataclasses.replace(record),
+                      lambda: dataclasses.replace(record, **{field: value})):
+            with pytest.raises(TypeError):
+                build()
+        # A shallow copy shares the checked, read-only array.
+        twin = copy.copy(record)
+        assert type(twin) is cls and twin is not record and getattr(twin, field) is value
+    assert copy.copy(meas).dim == 2
 
 
 def test_lift_rejects_non_orthonormal_basis():
@@ -292,18 +319,21 @@ def test_from_unitary_serves_a_byte_identical_input_its_last_measurement(monkeyp
 
 
 def test_one_unitary_is_checked_once_across_the_measurement_functions(monkeypatch):
+    # Each unitarity check takes the square root of the defect ||AA^dag - I||_F^2 once.
     monkeypatch.setattr(measurement, "_last", None)
-    built = []
+    checks = []
 
-    def counted(a):
-        built.append(a)
-        return VonNeumannMeasurement(a)
+    def counted(x):
+        checks.append(x)
+        return np.sqrt(x)
 
-    monkeypatch.setattr(measurement, "VonNeumannMeasurement", counted)
+    monkeypatch.setattr(measurement, "math", types.SimpleNamespace(sqrt=counted))
     u = random_unitary(4, 35)
     meas = from_unitary(u)
     build_C(u), build_C0(u)
-    assert len(built) == 1 and from_unitary(u) is meas
+    assert len(checks) == 1 and from_unitary(u) is meas
+    from_unitary(random_unitary(4, 36))
+    assert len(checks) == 2
 
 
 def test_from_unitary_checks_any_other_input_afresh(monkeypatch):
@@ -372,18 +402,6 @@ def test_coefficients_are_formed_once_per_measurement_and_basis(monkeypatch):
     assert calls == [3, 3]
 
 
-def test_coefficients_of_a_writable_unitary_are_formed_every_time():
-    # Nothing is kept for a measurement that from_unitary did not build last,
-    # such as one whose unitary can change under it.
-    meas = VonNeumannMeasurement(np.eye(2, dtype=complex))
-    basis = gell_mann_basis(2)
-    before = measurement._coefficients(meas, basis)
-    meas.unitary[:] = HADAMARD
-    after = measurement._coefficients(meas, basis)
-    assert np.array_equal(after, measurement._coefficients(from_unitary(HADAMARD), basis))
-    assert not np.array_equal(before, after)
-
-
 def test_an_evicted_measurement_forms_its_coefficients_afresh(monkeypatch):
     monkeypatch.setattr(measurement, "_last", None)
     calls = []
@@ -422,8 +440,10 @@ def test_kept_results_match_a_fresh_evaluation_bit_for_bit(monkeypatch, m):
         fresh = evaluate(u)
         for a, b, c in zip(first, kept, fresh):
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes() == np.asarray(c).tobytes()
-        # A measurement that keeps nothing forms the same M and deviation.
-        plain = VonNeumannMeasurement(np.array(u, dtype=complex))
+        # A measurement the slot does not hold keeps nothing, and forms the
+        # same M and deviation.
+        plain = from_unitary(u)
+        from_unitary(np.eye(m))
         assert lift_matrix(plain, basis).matrix.tobytes() == first[0].tobytes()
         assert consistency_check(plain, basis) == first[3]
 

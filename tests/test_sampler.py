@@ -12,7 +12,6 @@ from vnlift import (
     from_unitary,
     gell_mann_basis,
     invariance_search,
-    partial_trace,
     random_classical_classical,
     random_classical_quantum,
     random_density,
@@ -29,6 +28,11 @@ from vnlift.sampler import (
     _unitary_from_gaussian,
 )
 from tests.conftest import bell_diagonal_state, near_hermitian
+
+
+def partial_trace(rho, m, n, keep):
+    """The reduced state of rho on the m-dimensional factor ("a") or the n-dimensional one ("b")."""
+    return np.einsum("abcb->ac" if keep == "a" else "abad->bd", rho.reshape(m, n, m, n))
 
 
 def channel_on_left(rho, u, m, n):
@@ -291,16 +295,16 @@ def test_classical_samplers_are_deterministic():
             assert not np.allclose(sampler(m, n, 3), sampler(m, n, 4))
 
 
-def test_partial_trace_rejects_wrong_shape():
+def test_state_functions_reject_wrong_shape():
     # A 2x8 array has the right number of entries for a 2x2 (x) 2x2 state.
-    for keep in ("a", "b"):
+    with pytest.raises(ShapeError, match="state must be 4x4"):
+        swap_subsystems(np.ones((2, 8)), 2, 2)
+    for side in ("left", "right"):
         with pytest.raises(ShapeError, match="state must be 4x4"):
-            partial_trace(np.ones((2, 8)), 2, 2, keep=keep)
+            invariance_search(np.ones((2, 8)), 2, 2, side=side)
 
 
 def test_samplers_reject_invalid_arguments():
-    with pytest.raises(ValueError, match="keep must be 'a' or 'b', got 'c'"):
-        partial_trace(np.eye(4) / 4.0, 2, 2, keep="c")
     for make, args in ((random_unitary, (0, 0)), (random_density, (0, 0)),
                        (random_classical_quantum, (1, 2, 0)),
                        (random_classical_classical, (1, 2, 0))):
@@ -487,6 +491,24 @@ def test_invariance_search_validates_arguments():
     for m, n, side in ((1, 4, "left"), (4, 1, "right"), (4, 1, "left")):
         with pytest.raises(ValueError, match="both local dimensions must be at least 2"):
             invariance_search(rho, m, n, side=side)
+
+
+def test_a_search_checks_its_state_once(monkeypatch):
+    # The right side is read as a view of the checked state, not through
+    # swap_subsystems and a partial trace that would each check it again.
+    calls = []
+    as_state = sampler.as_state
+
+    def counted(rho, m, n):
+        calls.append((m, n))
+        return as_state(rho, m, n)
+
+    monkeypatch.setattr(sampler, "as_state", counted)
+    rho = random_density(6, 3)
+    for side in ("left", "right"):
+        calls.clear()
+        invariance_search(rho, 2, 3, side=side, trials=20, seed=1)
+        assert calls == [(2, 3)], side
 
 
 def test_invariance_search_rejects_negative_seed():
