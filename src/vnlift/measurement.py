@@ -21,11 +21,24 @@ MAX_CONSISTENCY_RESIDUAL = 1e-10
 @dataclass(frozen=True, eq=False, init=False)
 class VonNeumannMeasurement:
     """Complete projective measurement on an m-dimensional system, built only by
-    ``from_unitary``: the class has no __init__, so calling it with a matrix, or
-    ``dataclasses.replace``, raises TypeError. Row i of ``unitary`` holds the
-    coefficients of the i-th measurement vector; the projectors are their outer products."""
+    ``from_unitary``: calling the class, with or without a matrix, or
+    ``dataclasses.replace`` raises TypeError. Row i of ``unitary`` holds the
+    coefficients of the i-th measurement vector; the projectors are their outer
+    products. A pickled or deep-copied measurement is rebuilt by from_unitary,
+    so it is checked again; a shallow copy shares the checked array."""
 
     unitary: np.ndarray
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a VonNeumannMeasurement is built by from_unitary")
+
+    def __reduce__(self):
+        return from_unitary, (self.unitary,)
+
+    def __copy__(self):
+        twin = object.__new__(VonNeumannMeasurement)
+        object.__setattr__(twin, "unitary", self.unitary)
+        return twin
 
     @property
     def dim(self) -> int:
@@ -36,9 +49,17 @@ class VonNeumannMeasurement:
 class LiftedMeasurement:
     """Real (m^2-1) x (m^2-1) matrix representing a measurement's action on
     an orthonormal traceless-Hermitian basis; idempotent with rank m-1. Built only
-    by ``lift_matrix``, with no __init__, like VonNeumannMeasurement."""
+    by ``lift_matrix``; calling the class raises TypeError, like
+    VonNeumannMeasurement. A copy or an unpickled lift keeps its matrix read-only."""
 
     matrix: np.ndarray
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a LiftedMeasurement is built by lift_matrix")
+
+    def __setstate__(self, state):
+        state["matrix"].flags.writeable = False
+        object.__setattr__(self, "matrix", state["matrix"])
 
     @property
     def idempotency_defect(self) -> float:

@@ -175,6 +175,18 @@ _BLOCK_ELEMENTS = 1 << 14
 # default 2000-trial search is one chunk.
 _CHUNK_TRIALS = 4096
 
+# A trial is skipped when its Pythagoras estimate of residual^2 exceeds the
+# cut by this multiple of ||H||_F^2. The estimate differs from the square of
+# what `_measured_residuals` returns by at most about
+# ((m n)^2 + 4 m^2.5 + 4 m^2) eps ||H||_F^2, from the sum of squares that forms
+# ||H||_F^2 and the products with m^2 terms in each, plus 2 ||U U^dag - I||_2
+# ||H||_F^2, since a candidate is unitary only to Gram-Schmidt round-off (below
+# 1e-13 at m <= 8). That is about 1.3e-12 ||H||_F^2 at 8 x 8, and below half
+# the margin for m n <= 1000 and m <= 100. So a skipped trial's residual^2
+# exceeds another's by at least the margin, and its residual by at least
+# 5e-10 ||H||_F: it cannot tie after the square root either.
+_ESTIMATE_MARGIN = 1e-9
+
 # A trial is skipped only when its lower bound exceeds the best residual by
 # this multiple of ||rho||_F. The bound's variance loses about
 # m * eps * ||rho||_F^2 to cancellation, so its square root is off by at most
@@ -235,6 +247,57 @@ def _measured_residuals(rho4: np.ndarray, units: np.ndarray) -> np.ndarray:
     return np.sqrt(2.0 * out)
 
 
+def _weight_matrix(rho4: np.ndarray) -> np.ndarray:
+    """Real matrix Y, m^2 x min(m, n)^2, with ||p_s Y||^2 = ||<phi_s| H |phi_s>||_F^2
+    for the coordinates p_s that `_kept_weights` forms of P_s = |phi_s><phi_s|.
+
+    Row j is the block K_j = Tr_A[(E_j (x) I) H] of the j-th element of the
+    Hermitian basis {|a><a|, |a><c| + |c><a|, i(|a><c| - |c><a|)} (a < c), in the
+    orthonormal Hermitian basis {|b><b|, (|b><d| + |d><b|)/sqrt2,
+    i(|b><d| - |d><b|)/sqrt2} of side B. The off-diagonal elements on side A
+    carry sqrt2 beyond the orthonormal ones, which the coordinates of P_s
+    leave out, so those need no scaling."""
+    m, n = rho4.shape[:2]
+    a, c = _upper_pairs(m)
+    b, d = _upper_pairs(n)
+    blocks = rho4.transpose(0, 2, 1, 3)  # blocks[a, c] = <a| H |c> on side B
+    upper, lower = blocks[a, c], blocks[c, a]
+    k = np.concatenate([blocks[range(m), range(m)], upper + lower, 1j * (lower - upper)])
+    off = np.sqrt(2.0) * k[:, b, d]
+    y = np.concatenate([k[:, range(n), range(n)].real, off.real, off.imag], axis=1)
+    # For n > m, R^T from Y^T = QR has Y's Gram matrix in m^2 columns.
+    return np.linalg.qr(y.T, mode="r").T if n > m else y
+
+
+def _kept_weights(y: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """||channel(H)||_F^2 = sum_s ||<phi_s| H |phi_s>||_F^2 for each candidate,
+    from `cols[a, s, t]`, entry a of candidate t's measurement vector phi_s:
+    the trial-innermost layout that `_unitaries_by_gram_schmidt` leaves.
+
+    P_s's coordinates (|phi_sa|^2, Re phi_sa conj(phi_sc), Im phi_sa conj(phi_sc))
+    are elementwise products of rows, and one real product with Y per block
+    gives every p_s Y: m^3 min(m, n)^2 multiply-adds per candidate."""
+    m, count = cols.shape[1], cols.shape[2]
+    pairs = m * (m - 1) // 2
+    # Real temporaries of at most 2 * _BLOCK_ELEMENTS entries, the bytes of
+    # those of `_measured_residuals`.
+    block = max(1, 2 * _BLOCK_ELEMENTS // m ** 3)
+    out = np.empty(count)
+    for start in range(0, count, block):
+        part = cols[:, :, start:start + block]
+        coords = np.empty((m * m, *part.shape[1:]))
+        row = m
+        for a in range(m):
+            w = part[a] * part[a:].conj()  # w[c - a] = phi_a conj(phi_c), c >= a
+            end = row + m - 1 - a
+            coords[a] = w[0].real
+            coords[row:end], coords[pairs + row:pairs + end] = w[1:].real, w[1:].imag
+            row = end
+        kept = y.T @ coords.reshape(m * m, -1)
+        out[start:start + block] = np.einsum("ij,ij->j", kept, kept).reshape(m, -1).sum(axis=0)
+    return out
+
+
 def invariance_search(
     rho,
     m: int,
@@ -261,9 +324,20 @@ def invariance_search(
     trial's first measurement vector in their eigenbasis: O(m^2) per trial,
     against O(m^4 n^2) for the residual. A trial is skipped only when its
     bound exceeds the best residual so far by the round-off margin
-    `_PRUNE_MARGIN` * ||H||_F: it can neither win nor tie, and the report is
-    what scoring every trial gives. The eigenbasis and each new winner are
-    built by from_unitary, so the report holds a checked, read-only copy."""
+    `_PRUNE_MARGIN` * ||H||_F.
+
+    The trials the bound keeps are then estimated, except at m = 2 and n <= 3,
+    where that costs more than the residuals it saves. The lift of a measurement
+    is idempotent, so the channel is an orthogonal projection and, by
+    Pythagoras, residual^2 = ||H||_F^2 - sum_s ||<phi_s| H |phi_s>||_F^2: the
+    weight the measurement keeps, from `_kept_weights` in O(m^3 n^2) real
+    operations, against O(m^4 n^2) complex ones for the residual. The estimate
+    subtracts, so it is only used to skip: a trial is scored only when its
+    estimate is at most the least of the best residual^2 so far and the
+    chunk's least estimate plus `_ESTIMATE_MARGIN` * ||H||_F^2, plus that margin
+    again. A skipped trial can neither win nor tie, so the report is what
+    scoring every trial gives. The eigenbasis and each new winner are built
+    by from_unitary, so the report holds a checked, read-only copy."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if m < 2 or n < 2:
@@ -288,6 +362,9 @@ def invariance_search(
     eigenbasis_residual = float(_measured_residuals(rho4, best_meas.unitary[None])[0])
     best, best_residual = None, eigenbasis_residual
     margin = _PRUNE_MARGIN * np.sqrt(norm2)
+    # Y is formed when a chunk first has trials to estimate; on a classical
+    # side the bound skips them all.
+    y, delta = None, _ESTIMATE_MARGIN * norm2
     # The bound's variance is moments @ w minus its mean squared, for w_j the
     # weights |<v_j|phi_0>|^2 of each trial's first measurement vector.
     moments, evecs_h = np.array([evals, evals * evals]), evecs.conj().T
@@ -314,6 +391,22 @@ def invariance_search(
             keep = np.flatnonzero(~(second - mean * mean > limit))
         else:
             keep = np.arange(len(units))
+        # Paired searches with the estimate were slower at 2 x 2 and 2 x 3, and
+        # faster at 2 x 4 and 3 x 2.
+        if len(keep) and (m > 2 or n > 3):
+            if y is None:
+                y = _weight_matrix(rho4)
+            # The trial-innermost layout of the Gram-Schmidt, read in place
+            # when the bound kept every trial.
+            cols = units.transpose(2, 1, 0)
+            if len(keep) < len(units):
+                cols = cols[..., keep]
+            estimates = norm2 - _kept_weights(y, cols)
+            # A trial's residual^2 lies within delta of its estimate, so one
+            # whose estimate is above the cut is worse than the best so far or
+            # than the trial of least estimate. Not `<=`, as above.
+            cut = np.minimum(best_residual ** 2, estimates.min() + delta) + delta
+            keep = keep[~(estimates > cut)]
         if len(keep) < len(units):
             units = units[keep]
         if len(keep):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import pickle
 import sys
 import threading
 import types
@@ -148,7 +149,7 @@ def test_measurement_records_have_one_constructor_each():
     for record, cls, field in ((meas, VonNeumannMeasurement, "unitary"),
                                (lifted, LiftedMeasurement, "matrix")):
         value = getattr(record, field)
-        for build in (lambda: cls(value), lambda: cls(**{field: value}),
+        for build in (cls, lambda: cls(value), lambda: cls(**{field: value}),
                       lambda: cls(np.array([[1, 2], [3, 4]])),
                       lambda: dataclasses.replace(record),
                       lambda: dataclasses.replace(record, **{field: value})):
@@ -158,6 +159,47 @@ def test_measurement_records_have_one_constructor_each():
         twin = copy.copy(record)
         assert type(twin) is cls and twin is not record and getattr(twin, field) is value
     assert copy.copy(meas).dim == 2
+
+
+def test_copied_and_pickled_records_stay_checked_and_read_only():
+    meas = from_unitary(random_unitary(3, 5))
+    lifted = lift_matrix(meas, gell_mann_basis(3))
+    from_unitary(HADAMARD)  # meas is no longer from_unitary's last measurement
+    for twin in (pickle.loads(pickle.dumps(meas)), copy.deepcopy(meas)):
+        assert type(twin) is VonNeumannMeasurement and twin.unitary is not meas.unitary
+        assert np.array_equal(twin.unitary, meas.unitary)
+        assert not twin.unitary.flags.writeable and twin.unitary.flags.c_contiguous
+    for twin in (pickle.loads(pickle.dumps(lifted)), copy.deepcopy(lifted)):
+        assert type(twin) is LiftedMeasurement and twin.matrix is not lifted.matrix
+        assert np.array_equal(twin.matrix, lifted.matrix) and not twin.matrix.flags.writeable
+    # A shallow copy still shares the read-only array.
+    assert copy.copy(meas).unitary is meas.unitary
+    assert copy.copy(lifted).matrix is lifted.matrix and not lifted.matrix.flags.writeable
+
+
+def test_an_unpickled_measurement_is_checked_again(monkeypatch):
+    # A record that skipped from_unitary, as a pickle from elsewhere could
+    # hold, is refused when it is loaded or deep-copied.
+    forged = object.__new__(VonNeumannMeasurement)
+    object.__setattr__(forged, "unitary", np.array([[1.0, 2.0], [3.0, 4.0]]))
+    data = pickle.dumps(forged)
+    with pytest.raises(UnitarityError, match="not unitary"):
+        pickle.loads(data)
+    with pytest.raises(UnitarityError, match="not unitary"):
+        copy.deepcopy(forged)
+    # A valid one is checked once on loading, by the one gate.
+    data = pickle.dumps(from_unitary(random_unitary(4, 6)))
+    from_unitary(HADAMARD)
+    checks = []
+
+    def counted(x):
+        checks.append(x)
+        return np.sqrt(x)
+
+    monkeypatch.setattr(measurement, "math", types.SimpleNamespace(sqrt=counted))
+    loaded = pickle.loads(data)
+    assert len(checks) == 1 and measurement._last[1] is loaded
+    assert loaded.dim == 4 and not loaded.unitary.flags.writeable
 
 
 def test_lift_rejects_non_orthonormal_basis():

@@ -133,14 +133,17 @@ def _pruning_states(m, n):
     return states
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 4), (3, 2), (2, 4)])
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 4), (3, 2), (2, 4), (8, 2)])
 def test_invariance_search_pruning_is_exact(m, n):
     # The reference scores every candidate on rho's Hermitian part: the
     # eigenbasis, then all trials in one batch, and takes the first argmin, so
     # the eigenbasis wins ties. Trial t is the same candidate for every trial
     # count, so one draw of 5000 serves 50, 2000 (one chunk) and 5000 (two chunks).
     seed = m + 10 * n
-    drawn = {k: _unitaries_by_gram_schmidt(_rng(seed, 2).standard_normal((5000, 2, k, k)))
+    # At 8 x 2 the searches stay in one chunk, which keeps the reference quick;
+    # the other shapes check chunking.
+    counts = (50, 2000) if m > 2 * n else (50, 2000, 5000)
+    drawn = {k: _unitaries_by_gram_schmidt(_rng(seed, 2).standard_normal((counts[-1], 2, k, k)))
              for k in {m, n}}
     for kind, rho in _pruning_states(m, n).items():
         herm = _hermitian(rho)
@@ -148,7 +151,7 @@ def test_invariance_search_pruning_is_exact(m, n):
             state, a, b = (herm, m, n) if side == "left" else (swap_subsystems(herm, m, n), n, m)
             units = np.concatenate([_eigenbasis(state, a, b)[None], drawn[a]])
             residuals = sampler._measured_residuals(state.reshape(a, b, a, b), units)
-            for trials in (50, 2000, 5000):
+            for trials in counts:
                 best = int(np.argmin(residuals[:trials + 1]))
                 report = invariance_search(rho, m, n, side=side, trials=trials, seed=seed)
                 where = (kind, side, trials)
@@ -185,6 +188,23 @@ def test_invariance_search_pruning_keeps_near_ties(monkeypatch):
         winners.append(check(rho, 3, 3, trials[rng.permutation(len(trials))]))
     # Searches that a reordered eigenbasis won.
     assert sum(w > 0 for w in winners) >= 5, winners
+
+    # On a quantum side the Pythagoras estimate decides. The best of 40 drawn
+    # trials, reordered and rephased, ties with itself to round-off, and the
+    # estimate margin keeps every copy, so the first least residual wins.
+    moved = []
+    for seed in range(10):
+        rho = random_density(9, seed)
+        drawn = _unitaries_by_gram_schmidt(_rng(seed, 2).standard_normal((40, 2, 3, 3)))
+        top = drawn[np.argmin(sampler._measured_residuals(_hermitian(rho).reshape(3, 3, 3, 3),
+                                                          drawn))]
+        tied = [np.exp(1j * rng.uniform(0, 2 * np.pi, (3, 1))) * top[list(order)]
+                for order in itertools.permutations(range(3)) for _ in range(3)]
+        trials = np.concatenate([tied, drawn])[rng.permutation(58)]
+        drawn_top = np.flatnonzero(np.all(trials == top, axis=(1, 2)))[0]
+        moved.append(check(rho, 3, 3, trials) != 1 + drawn_top)
+    # Searches that a reordered copy, not the drawn trial itself, won.
+    assert sum(moved) >= 5, moved
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2)])
@@ -225,6 +245,55 @@ def test_invariance_search_skips_almost_every_trial_on_a_classical_side(monkeypa
         assert report.best_trial is None and report.best_residual <= 1e-10, seed
         # The eigenbasis first, alone; then fewer than 1% of the trials.
         assert scored[0] == 1 and sum(scored[1:]) < 20, (seed, scored)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (4, 4), (3, 2), (2, 4), (8, 2), (2, 8)])
+def test_pythagoras_estimate_matches_the_residual(m, n):
+    # ||H||_F^2 minus the weight a measurement keeps is its residual^2, to
+    # within half the margin the search allows, for the eigenbasis and 500
+    # trials, on both sides and at any scale.
+    states = {
+        "density": random_density(m * n, 81),
+        "cq": random_classical_quantum(m, n, 81),
+        "density x1e6": 1e6 * random_density(m * n, 82),
+        "density x1e-6": 1e-6 * random_density(m * n, 83),
+        "cq x1e-6": 1e-6 * random_classical_quantum(m, n, 83),
+        "near-Hermitian density": near_hermitian(random_density(m * n, 84), 84),
+        "non-Hermitian cq": near_hermitian(random_classical_quantum(m, n, 85), 85, 1e8),
+    }
+    for kind, rho in states.items():
+        herm = _hermitian(rho)
+        norm2 = np.vdot(herm, herm).real
+        for side in ("left", "right"):
+            state, a, b = (herm, m, n) if side == "left" else (swap_subsystems(herm, m, n), n, m)
+            rho4 = state.reshape(a, b, a, b)
+            drawn = _unitaries_by_gram_schmidt(_rng(9, 2).standard_normal((500, 2, a, a)))
+            units = np.concatenate([_eigenbasis(state, a, b)[None], drawn])
+            kept = sampler._kept_weights(sampler._weight_matrix(rho4), units.transpose(2, 1, 0))
+            residuals = sampler._measured_residuals(rho4, units)
+            error = np.abs(norm2 - kept - residuals ** 2).max()
+            assert error <= sampler._ESTIMATE_MARGIN / 2 * norm2, (kind, side, error / norm2)
+
+
+def test_invariance_search_scores_a_handful_of_trials_on_a_quantum_side(monkeypatch):
+    # The row-0 bound rules out no trial on either side of a random 4x4 state;
+    # the Pythagoras estimate rules out all but the few that can win.
+    measured_residuals = sampler._measured_residuals
+    scored = []
+
+    def counting(rho4, units):
+        scored.append(len(units))
+        return measured_residuals(rho4, units)
+
+    monkeypatch.setattr(sampler, "_measured_residuals", counting)
+    for seed in range(5):
+        for side in ("left", "right"):
+            scored.clear()
+            report = invariance_search(random_density(16, seed), 4, 4, side=side, trials=2000,
+                                       seed=seed)
+            assert report.best_residual > 1e-3, (seed, side)
+            # The eigenbasis first, alone; then at most 5 of the 2000 trials.
+            assert scored[0] == 1 and sum(scored[1:]) <= 5, (seed, side, scored)
 
 
 def test_random_density_properties():
