@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -64,7 +65,21 @@ class HermitianBasis:
         return self._augmented
 
 
-@lru_cache(maxsize=None)
+def _per_dimension(build):
+    """Memoize ``build`` on operator.index(m), so that every integer m, a numpy
+    one included, shares one basis and a float m such as 2.0 raises TypeError,
+    whatever was called before; lru_cache alone keys 2.0 and 2 alike."""
+    memo = functools.lru_cache(maxsize=None)(build)
+
+    @functools.wraps(build)
+    def basis(m: int) -> HermitianBasis:
+        return memo(operator.index(m))
+
+    basis.cache_clear = memo.cache_clear
+    return basis
+
+
+@_per_dimension
 def gell_mann_basis(m: int) -> HermitianBasis:
     """Canonical ordering: diagonal p=1..m-1, then symmetric (k,l) for k<l
     lexicographic, then antisymmetric (k,l) in the same order.
@@ -92,7 +107,7 @@ def gell_mann_basis(m: int) -> HermitianBasis:
     return HermitianBasis(elements=tuple(stack), labels=tuple(labels))
 
 
-@lru_cache(maxsize=None)
+@_per_dimension
 def pauli_gell_mann_basis(m: int) -> HermitianBasis:
     """Textbook interleaved ordering, scaled to unit Hilbert-Schmidt norm.
 

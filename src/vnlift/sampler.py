@@ -16,11 +16,11 @@ _DEGENERACY_GAP = 1e-6
 
 
 def _checked_seed(seed: int, trials: int = 1) -> int:
-    """``seed`` as an int; refuses a negative or non-integer seed and trials < 1."""
-    if trials < 1:
+    """``seed`` as an int; refuses a negative seed, trials < 1 and non-integers."""
+    # operator.index, not int, so that a float raises TypeError here, not as seed
+    # 1.7 drawing seed 1's stream or trials=2.0 failing mid-search; numpy ints pass.
+    if operator.index(trials) < 1:
         raise ValueError("trials must be at least 1")
-    # operator.index, not int, so that a float seed such as 1.7 raises
-    # TypeError instead of drawing seed 1's stream; numpy integers pass.
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
@@ -205,14 +205,15 @@ def _upper_pairs(m: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=1)
-def _one_chunk_candidates(seed: int, m: int, trials: int) -> np.ndarray:
-    """The random candidates of a search that fits in one chunk, read-only.
+def _candidates(seed: int, m: int, first: int, count: int) -> np.ndarray:
+    """Random trials first, ..., first + count - 1 of a search, read-only.
 
-    They depend on (seed, m, trials) alone, so the left and right searches of
-    an m x m state with one seed share them. One set is kept, so the cache
-    holds at most one chunk. Trial t's candidate is the same bits as in a
-    chunked search, since every Gram-Schmidt step is per trial."""
-    units = _unitaries_by_gram_schmidt(_rng(seed, 2).standard_normal((trials, 2, m, m)))
+    Each chunk draws from a stream of its own, (seed, 2 + first), so the first
+    reads (seed, 2); keys 0 and 1 belong to the samplers. Every Gram-Schmidt
+    step is per trial, so trial t's candidate depends on the seed, m and the
+    chunk size, not on `trials`. One chunk is kept, so the left and right
+    searches of an m x m state with one seed share their last chunk."""
+    units = _unitaries_by_gram_schmidt(_rng(seed, 2 + first).standard_normal((count, 2, m, m)))
     units.flags.writeable = False
     return units
 
@@ -311,7 +312,9 @@ def invariance_search(
     with the eigenbasis of the reduced state H_A as a deterministic candidate.
     rho is checked once, by as_state, and the seed and trial count before any
     search runs; the right side is read as a view of H with its factors swapped.
-    A state too large to search without overflow raises ValueError.
+    A state too large to search without overflow raises ValueError. The random
+    trials come from `_candidates`, chunk by chunk, and every step is per trial,
+    so trial t's residual depends on neither `trials` nor the trials beside it.
 
     The eigenbasis is scored first. A random trial is then scored only if a
     lower bound on its residual does not rule it out. With B_ik the
@@ -342,8 +345,8 @@ def invariance_search(
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     if m < 2 or n < 2:
         raise ValueError("both local dimensions must be at least 2")
-    rho = as_state(rho, m, n)
     seed = _checked_seed(seed, trials)
+    rho = as_state(rho, m, n)
     # H as validate_density forms it: rho bit for bit if that is exactly
     # Hermitian, and H_A is exactly Hermitian. The largest values formed below,
     # H_A's squared eigenvalues and spread, are at most half the bound tested.
@@ -368,17 +371,8 @@ def invariance_search(
     # The bound's variance is moments @ w minus its mean squared, for w_j the
     # weights |<v_j|phi_0>|^2 of each trial's first measurement vector.
     moments, evecs_h = np.array([evals, evals * evals]), evecs.conj().T
-    # Every chunk draws from one generator and every step is per trial, so
-    # trial t's candidate and residual do not depend on the chunking, on
-    # `trials` or on which other trials are scored with it. A one-chunk search
-    # takes its candidates from the shared read-only set.
-    rng = None if trials <= _CHUNK_TRIALS else _rng(seed, 2)
     for first in range(0, trials, _CHUNK_TRIALS):
-        if rng is None:
-            units = _one_chunk_candidates(seed, m, trials)
-        else:
-            count = min(_CHUNK_TRIALS, trials - first)
-            units = _unitaries_by_gram_schmidt(rng.standard_normal((count, 2, m, m)))
+        units = _candidates(seed, m, first, min(_CHUNK_TRIALS, trials - first))
         # A trial is skipped when bound^2 = (2/n) (second - mean^2) exceeds the
         # best residual plus the margin, squared. The variance is at most a
         # quarter of the squared eigenvalue spread, so when that is within the
@@ -417,8 +411,6 @@ def invariance_search(
             if residuals[k] < best_residual:
                 best, best_residual = first + int(keep[k]), float(residuals[k])
                 best_meas = from_unitary(units[k])
-        # Released before the next chunk is drawn.
-        del units
     return InvarianceReport(
         best_residual=best_residual,
         best_measurement=best_meas,

@@ -583,10 +583,10 @@ def test_negative_trial_count_exits_2_before_the_screens(monkeypatch, capsys):
 def test_oracle_report_is_the_same_from_a_warm_candidate_set(tmp_path):
     path = tmp_path / "state3x3.json"
     path.write_text(json.dumps({"m": 3, "n": 3, "rho": matrix_to_pairs(random_density(9, 63))}))
-    sampler._one_chunk_candidates.cache_clear()
+    sampler._candidates.cache_clear()
     _, cold = run_cli("classify", str(path), "--oracle", "2000", "--json")
-    assert sampler._one_chunk_candidates.cache_info().hits == 1
+    assert sampler._candidates.cache_info().hits == 1
     _, warm = run_cli("classify", str(path), "--oracle", "2000", "--json")
-    assert sampler._one_chunk_candidates.cache_info().hits == 3
+    assert sampler._candidates.cache_info().hits == 3
     assert json.loads(cold)["oracle"]["left"]["best_trial"] is not None
     assert warm == cold

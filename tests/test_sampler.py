@@ -70,6 +70,13 @@ def test_gram_schmidt_unitaries_match_qr_and_ignore_batch_size(m):
         assert np.array_equal(_unitaries_by_gram_schmidt(z[:t + 1])[t], u[t]), t
 
 
+def _drawn(seed, m, trials):
+    """A search's random candidates, chunk by chunk as it draws them."""
+    chunk = sampler._CHUNK_TRIALS
+    return np.concatenate([sampler._candidates(seed, m, first, min(chunk, trials - first))
+                           for first in range(0, trials, chunk)])
+
+
 def _hermitian(rho):
     """The state the search scores: rho's Hermitian part, formed as it forms it."""
     return rho / 2 + rho.conj().T / 2
@@ -89,7 +96,7 @@ def test_invariance_search_trial_residual_ignores_trial_count():
     for m, n in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 4)):
         for rho in (random_classical_quantum(m, n, 47), random_density(m * n, 47)):
             rho4 = rho.reshape(m, n, m, n)
-            trial = sampler._one_chunk_candidates(5, m, 2000)
+            trial = sampler._candidates(5, m, 0, 2000)
             units = np.concatenate([_eigenbasis(rho, m, n)[None], trial])
             want = sampler._measured_residuals(rho4, units)
             for length in [*range(1, 41), 2001]:
@@ -138,13 +145,13 @@ def test_invariance_search_pruning_is_exact(m, n):
     # The reference scores every candidate on rho's Hermitian part: the
     # eigenbasis, then all trials in one batch, and takes the first argmin, so
     # the eigenbasis wins ties. Trial t is the same candidate for every trial
-    # count, so one draw of 5000 serves 50, 2000 (one chunk) and 5000 (two chunks).
+    # count, so one draw of 5000, chunk by chunk, serves 50, 2000 (one chunk)
+    # and 5000 (two chunks).
     seed = m + 10 * n
     # At 8 x 2 the searches stay in one chunk, which keeps the reference quick;
     # the other shapes check chunking.
     counts = (50, 2000) if m > 2 * n else (50, 2000, 5000)
-    drawn = {k: _unitaries_by_gram_schmidt(_rng(seed, 2).standard_normal((counts[-1], 2, k, k)))
-             for k in {m, n}}
+    drawn = {k: _drawn(seed, k, counts[-1]) for k in {m, n}}
     for kind, rho in _pruning_states(m, n).items():
         herm = _hermitian(rho)
         for side in ("left", "right"):
@@ -165,7 +172,7 @@ def test_invariance_search_pruning_keeps_near_ties(monkeypatch):
     # Trials whose bound lies at or near their residual, which must still be
     # scored: the reference is again the first argmin over all candidates.
     def check(rho, m, n, trials):
-        monkeypatch.setattr(sampler, "_one_chunk_candidates", lambda *key: trials)
+        monkeypatch.setattr(sampler, "_candidates", lambda *key: trials)
         units = np.concatenate([_eigenbasis(rho, m, n)[None], trials])
         residuals = sampler._measured_residuals(_hermitian(rho).reshape(m, n, m, n), units)
         best = int(np.argmin(residuals))
@@ -487,7 +494,7 @@ def test_invariance_search_winners_are_unitary(m, n):
 
 def test_invariance_reports_hold_only_their_winners():
     states = [random_density(16, seed) for seed in range(50)]
-    sampler._one_chunk_candidates.cache_clear()
+    sampler._candidates.cache_clear()
     tracemalloc.start()
     try:
         reports = [invariance_search(rho, 4, 4, trials=2000) for rho in states]
@@ -516,20 +523,27 @@ def test_invariance_search_classical_sides_at_round_off():
 
 
 def test_invariance_search_chunking_keeps_every_result(monkeypatch):
-    # Small chunks, the default size and one chunk for all trials find the
-    # same winner with the same bits.
+    # In twelve chunks, the search finds the first argmin over the eigenbasis
+    # and every chunk's candidates scored at once, for each side.
+    monkeypatch.setattr(sampler, "_CHUNK_TRIALS", 777)
+    winners = []
     for m, n in ((4, 4), (3, 2)):
         rho = random_density(m * n, 40 + m)
-        reports = []
-        for chunk in (777, sampler._CHUNK_TRIALS, 10**6):
-            monkeypatch.setattr(sampler, "_CHUNK_TRIALS", chunk)
-            reports.append(invariance_search(rho, m, n, trials=9000, seed=m))
-        for report in reports[1:]:
-            assert report.best_trial == reports[0].best_trial
-            assert report.best_residual == reports[0].best_residual
-            assert report.eigenbasis_residual == reports[0].eigenbasis_residual
-            assert np.array_equal(report.best_measurement.unitary,
-                                  reports[0].best_measurement.unitary)
+        herm = _hermitian(rho)
+        for side in ("left", "right"):
+            state, a, b = (herm, m, n) if side == "left" else (swap_subsystems(herm, m, n), n, m)
+            units = np.concatenate([_eigenbasis(state, a, b)[None], _drawn(m, a, 9000)])
+            residuals = sampler._measured_residuals(state.reshape(a, b, a, b), units)
+            best = int(np.argmin(residuals))
+            report = invariance_search(rho, m, n, side=side, trials=9000, seed=m)
+            where = (m, n, side)
+            assert report.best_trial == best - 1, where
+            assert report.best_residual == residuals[best], where
+            assert report.eigenbasis_residual == residuals[0], where
+            assert np.array_equal(report.best_measurement.unitary, units[best]), where
+            winners.append(report.best_trial)
+    # Three of the four winners lie past the first chunk.
+    assert sum(w >= 777 for w in winners) == 3, winners
 
 
 def test_invariance_search_memory_is_bounded_by_one_chunk():
@@ -544,9 +558,9 @@ def test_invariance_search_memory_is_bounded_by_one_chunk():
         finally:
             tracemalloc.stop()
 
-    # A 4096-trial search, one chunk, peaks near 3.2 MB at 4x4, and so does a
-    # chunked 20 000-trial search, since the report copies out its winner; an
-    # unchunked 20 000-trial search peaks near 15.7 MB.
+    # A 4096-trial search, one chunk, peaks near 3.2 MB at 4x4, and a chunked
+    # 20 000-trial search near 4.3 MB, as does one of 200 000, since the report
+    # copies out its winner; an unchunked 20 000-trial search peaks near 15.7 MB.
     assert peak(20_000) < peak(4096) + 2 * 2**20
 
 
@@ -562,9 +576,9 @@ def test_invariance_search_validates_arguments():
             invariance_search(rho, m, n, side=side)
 
 
-def test_a_search_checks_its_state_once(monkeypatch):
-    # The right side is read as a view of the checked state, not through
-    # swap_subsystems and a partial trace that would each check it again.
+@pytest.fixture
+def as_state_calls(monkeypatch):
+    """The (m, n) of every as_state call the search makes."""
     calls = []
     as_state = sampler.as_state
 
@@ -573,11 +587,32 @@ def test_a_search_checks_its_state_once(monkeypatch):
         return as_state(rho, m, n)
 
     monkeypatch.setattr(sampler, "as_state", counted)
+    return calls
+
+
+def test_a_search_checks_its_state_once(as_state_calls):
+    # The right side is read as a view of the checked state, not through
+    # swap_subsystems and a partial trace that would each check it again.
     rho = random_density(6, 3)
     for side in ("left", "right"):
-        calls.clear()
+        as_state_calls.clear()
         invariance_search(rho, 2, 3, side=side, trials=20, seed=1)
-        assert calls == [(2, 3)], side
+        assert as_state_calls == [(2, 3)], side
+
+
+def test_a_float_trial_count_is_refused_before_the_search(as_state_calls):
+    # A float count used to pass the check and fail in range(), after the
+    # state was checked and its eigenbasis built.
+    rho = random_density(4, 1)
+    with pytest.raises(TypeError):
+        invariance_search(rho, 2, 2, trials=2.0, seed=1)
+    assert as_state_calls == []
+    report = invariance_search(rho, 2, 2, trials=np.int64(50), seed=1)
+    want = invariance_search(rho, 2, 2, trials=50, seed=1)
+    assert report.trials == want.trials == 50
+    assert report.best_trial == want.best_trial
+    assert report.best_residual == want.best_residual
+    assert np.array_equal(report.best_measurement.unitary, want.best_measurement.unitary)
 
 
 def test_invariance_search_rejects_negative_seed():
@@ -600,8 +635,20 @@ def test_seeds_must_be_integers():
     assert report.best_residual == invariance_search(rho, 2, 2, trials=50, seed=1).best_residual
 
 
+def test_candidates_of_the_first_chunk_read_the_seed_2_stream():
+    # The first chunk's stream is the one every search of up to _CHUNK_TRIALS
+    # trials has drawn from, so those searches keep their candidates.
+    for seed, m, count in ((0, 2, 1), (3, 2, 2000), (9, 4, 4096), (7, 8, 50)):
+        want = _unitaries_by_gram_schmidt(_rng(seed, 2).standard_normal((count, 2, m, m)))
+        assert np.array_equal(sampler._candidates(seed, m, 0, count), want), (seed, m, count)
+    # Each later chunk draws afresh, not the first chunk's candidates again.
+    first = sampler._candidates(3, 2, 0, 50)
+    for start in (50, 4096, 8192):
+        assert not np.isin(sampler._candidates(3, 2, start, 50), first).any(), start
+
+
 def test_one_chunk_candidates_are_drawn_once_for_both_sides(monkeypatch):
-    sampler._one_chunk_candidates.cache_clear()
+    sampler._candidates.cache_clear()
     gram_schmidt = sampler._unitaries_by_gram_schmidt
     calls = []
 
@@ -616,7 +663,7 @@ def test_one_chunk_candidates_are_drawn_once_for_both_sides(monkeypatch):
         warm = {side: invariance_search(rho, m, m, side=side, trials=2000, seed=9)
                 for side in ("left", "right")}
         assert calls == [(2000, 2, m, m)], m
-        cached = sampler._one_chunk_candidates(9, m, 2000)
+        cached = sampler._candidates(9, m, 0, 2000)
         assert not cached.flags.writeable
         with pytest.raises(ValueError):
             cached[0, 0, 0] = 0.0
@@ -633,7 +680,7 @@ def test_one_chunk_candidates_are_drawn_once_for_both_sides(monkeypatch):
         for side, report in warm.items():
             # A random trial wins, so the winner comes from the candidate set.
             assert report.best_trial is not None, (m, side)
-            sampler._one_chunk_candidates.cache_clear()
+            sampler._candidates.cache_clear()
             cold = invariance_search(rho, m, m, side=side, trials=2000, seed=9)
             assert cold.best_residual == report.best_residual, (m, side)
             assert cold.best_trial == report.best_trial, (m, side)
@@ -643,31 +690,24 @@ def test_one_chunk_candidates_are_drawn_once_for_both_sides(monkeypatch):
 
 
 def test_one_chunk_candidates_miss_on_another_key():
-    sampler._one_chunk_candidates.cache_clear()
+    sampler._candidates.cache_clear()
+    info = sampler._candidates.cache_info
     states = {(3, 3): random_density(9, 5), (2, 3): random_density(6, 5)}
     invariance_search(states[3, 3], 3, 3, trials=100, seed=4)
     # Each call changes one part of the key: seed, m, trials, seed.
     for m, n, trials, seed in ((3, 3, 100, 5), (2, 3, 100, 5), (2, 3, 101, 5),
                                (2, 3, 101, 4)):
-        misses = sampler._one_chunk_candidates.cache_info().misses
+        misses = info().misses
         invariance_search(states[m, n], m, n, trials=trials, seed=seed)
-        assert sampler._one_chunk_candidates.cache_info().misses == misses + 1
+        assert info().misses == misses + 1
     # The same key again is a hit.
-    hits = sampler._one_chunk_candidates.cache_info().hits
+    hits = info().hits
     invariance_search(states[2, 3], 2, 3, trials=101, seed=4)
-    assert sampler._one_chunk_candidates.cache_info().hits == hits + 1
-
-
-def test_search_longer_than_one_chunk_skips_the_shared_set(monkeypatch):
-    rho = random_density(4, 6)
-
-    def unexpected(*args):
-        raise AssertionError(f"one-chunk candidates requested for {args}")
-
-    expected = invariance_search(rho, 2, 2, trials=sampler._CHUNK_TRIALS, seed=2)
-    monkeypatch.setattr(sampler, "_one_chunk_candidates", unexpected)
-    longer = invariance_search(rho, 2, 2, trials=sampler._CHUNK_TRIALS + 1, seed=2)
-    assert longer.best_residual <= expected.best_residual
-    monkeypatch.setattr(sampler, "_CHUNK_TRIALS", 100)
-    for trials in (101, 250):
-        invariance_search(rho, 2, 2, trials=trials, seed=2)
+    assert info().hits == hits + 1
+    # A two-chunk search draws each chunk, and keeps the second.
+    misses, chunk = info().misses, sampler._CHUNK_TRIALS
+    invariance_search(states[2, 3], 2, 3, trials=chunk + 1, seed=4)
+    assert info().misses == misses + 2
+    hits = info().hits
+    sampler._candidates(4, 2, chunk, 1)
+    assert info().hits == hits + 1
