@@ -3,7 +3,7 @@ correlation in bipartite states."""
 
 __version__ = "0.1.0"
 
-from .basis import HermitianBasis, gell_mann_basis, pauli_gell_mann_basis
+from .basis import HermitianBasis, gell_mann_basis
 from .bloch import BlochForm, decompose, reconstruct
 from .classify import (
     BellDiagonalSpec,
@@ -44,5 +44,4 @@ from .sampler import (
     random_density,
     random_quantum_classical,
     random_unitary,
-    swap_subsystems,
 )

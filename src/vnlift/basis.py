@@ -1,4 +1,4 @@
-"""Orthonormal bases of traceless Hermitian matrices (generalized Gell-Mann type)."""
+"""The orthonormal generalized Gell-Mann basis of the traceless Hermitian matrices."""
 
 from __future__ import annotations
 
@@ -65,27 +65,8 @@ class HermitianBasis:
         return self._augmented
 
 
-def _per_dimension(build):
-    """Memoize ``build`` on operator.index(m), so that every integer m, a numpy
-    one included, shares one basis and a float m such as 2.0 raises TypeError,
-    whatever was called before; lru_cache alone keys 2.0 and 2 alike."""
-    memo = functools.lru_cache(maxsize=None)(build)
-
-    @functools.wraps(build)
-    def basis(m: int) -> HermitianBasis:
-        return memo(operator.index(m))
-
-    basis.cache_clear = memo.cache_clear
-    return basis
-
-
-@_per_dimension
-def gell_mann_basis(m: int) -> HermitianBasis:
-    """Canonical ordering: diagonal p=1..m-1, then symmetric (k,l) for k<l
-    lexicographic, then antisymmetric (k,l) in the same order.
-
-    Memoized: every call with the same m returns the same read-only basis.
-    """
+@functools.lru_cache(maxsize=None)
+def _gell_mann_basis(m: int) -> HermitianBasis:
     if m < 2:
         raise ValueError(f"basis needs dimension >= 2, got {m}")
     pairs = [(k, l) for k in range(m) for l in range(k + 1, m)]
@@ -107,25 +88,12 @@ def gell_mann_basis(m: int) -> HermitianBasis:
     return HermitianBasis(elements=tuple(stack), labels=tuple(labels))
 
 
-@_per_dimension
-def pauli_gell_mann_basis(m: int) -> HermitianBasis:
-    """Textbook interleaved ordering, scaled to unit Hilbert-Schmidt norm.
+def gell_mann_basis(m: int) -> HermitianBasis:
+    """Canonical ordering: diagonal p=1..m-1, then symmetric (k,l) for k<l
+    lexicographic, then antisymmetric (k,l) in the same order.
 
-    For m=2 this is (sigma_1, sigma_2, sigma_3)/sqrt(2); for m=3 it is
-    (lambda_1, ..., lambda_8)/sqrt(2).  The elements are those of
-    gell_mann_basis(m), reordered, with the antisymmetric ones negated to the
-    textbook sign i(|l><k| - |k><l|)/sqrt(2).  Memoized like gell_mann_basis.
+    Memoized on operator.index(m): every integer m, a numpy one included,
+    returns the same read-only basis, and a float m such as 2.0 raises
+    TypeError whatever was called before; lru_cache alone keys 2.0 and 2 alike.
     """
-    canonical = gell_mann_basis(m)
-    labels = []
-    for l in range(1, m):
-        for k in range(l):
-            labels += [f"symmetric({k},{l})", f"antisymmetric({k},{l})"]
-        labels.append(f"diagonal({l})")
-    index = {lab: i for i, lab in enumerate(canonical.labels)}
-    stack = canonical.stack()
-    elements = tuple(
-        -stack[index[lab]] if lab.startswith("antisymmetric") else stack[index[lab]]
-        for lab in labels
-    )
-    return HermitianBasis(elements=elements, labels=tuple(labels))
+    return _gell_mann_basis(operator.index(m))

@@ -122,14 +122,10 @@ def random_classical_quantum(m: int, n: int, seed: int) -> np.ndarray:
     return rho.reshape(m * n, m * n)
 
 
-def swap_subsystems(rho, m: int, n: int) -> np.ndarray:
-    rho = as_state(rho, m, n)
-    return rho.reshape(m, n, m, n).transpose(1, 0, 3, 2).reshape(m * n, m * n)
-
-
 def random_quantum_classical(m: int, n: int, seed: int) -> np.ndarray:
     """Swap image of a classical-quantum state on n (x) m."""
-    return swap_subsystems(random_classical_quantum(n, m, seed), n, m)
+    rho4 = random_classical_quantum(n, m, seed).reshape(n, m, n, m)
+    return rho4.transpose(1, 0, 3, 2).reshape(m * n, m * n)
 
 
 def random_classical_classical(m: int, n: int, seed: int) -> np.ndarray:
@@ -310,8 +306,8 @@ def invariance_search(
     """Minimize ||channel(H) - H||_F over random von Neumann measurements on one
     side, for H = rho/2 + rho^dag/2, the Hermitian part that the screens read,
     with the eigenbasis of the reduced state H_A as a deterministic candidate.
-    rho is checked once, by as_state, and the seed and trial count before any
-    search runs; the right side is read as a view of H with its factors swapped.
+    rho is checked once, by as_state, and the dimensions, seed and trial count
+    before it; the right side is read as a view of H with its factors swapped.
     A state too large to search without overflow raises ValueError. The random
     trials come from `_candidates`, chunk by chunk, and every step is per trial,
     so trial t's residual depends on neither `trials` nor the trials beside it.
@@ -343,6 +339,9 @@ def invariance_search(
     by from_unitary, so the report holds a checked, read-only copy."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    # Exact ints, so that a float dimension is refused before rho is checked
+    # and the report holds an int that json can write, not np.int64 or True.
+    m, n, trials = operator.index(m), operator.index(n), operator.index(trials)
     if m < 2 or n < 2:
         raise ValueError("both local dimensions must be at least 2")
     seed = _checked_seed(seed, trials)

@@ -25,7 +25,6 @@ from vnlift import (
     invariance_search,
     lift_matrix,
     numerical_rank,
-    pauli_gell_mann_basis,
     random_classical_classical,
     random_classical_quantum,
     random_density,
@@ -33,6 +32,7 @@ from vnlift import (
     random_unitary,
     reconstruct,
 )
+from tests.bases import pauli_gell_mann_basis
 from tests.conftest import bell_diagonal_state, rho_zero
 
 N_UNITARIES = 1000

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vnlift import (DEFAULT_TOL, BasisError, HermitianBasis, classify_state, gell_mann_basis,
-                    pauli_gell_mann_basis)
+from vnlift import DEFAULT_TOL, BasisError, HermitianBasis, basis, classify_state, gell_mann_basis
+from tests.bases import pauli_gell_mann_basis
 from tests.conftest import SIGMA
 
 S2 = np.sqrt(2.0)
@@ -92,24 +92,22 @@ def test_rejects_m_below_two():
 
 def test_gell_mann_basis_is_memoized():
     assert gell_mann_basis(3) is gell_mann_basis(3)
-    assert pauli_gell_mann_basis(3) is pauli_gell_mann_basis(3)
 
 
-@pytest.mark.parametrize("make_basis", [gell_mann_basis, pauli_gell_mann_basis])
-def test_basis_memo_keys_on_the_integer_dimension(make_basis):
+def test_basis_memo_keys_on_the_integer_dimension():
     # lru_cache keys 2.0 and np.int64(2) alike, so 2.0 used to raise in a fresh
     # process and return the basis once np.int64(2) had been asked for.
-    make_basis.cache_clear()
+    basis._gell_mann_basis.cache_clear()
     with pytest.raises(TypeError):
-        make_basis(2.0)
-    assert make_basis(np.int64(2)) is make_basis(2)
+        gell_mann_basis(2.0)
+    assert gell_mann_basis(np.int64(2)) is gell_mann_basis(2)
     with pytest.raises(TypeError):
-        make_basis(2.0)
+        gell_mann_basis(2.0)
 
 
 def test_a_float_dimension_is_refused_whatever_was_called_before():
     rho = np.eye(4, dtype=complex) / 4
-    gell_mann_basis.cache_clear()
+    basis._gell_mann_basis.cache_clear()
     for _ in range(2):
         with pytest.raises(TypeError):
             classify_state(rho, 2.0, 2)

@@ -9,11 +9,11 @@ from vnlift import (
     decompose,
     gell_mann_basis,
     numerical_rank,
-    pauli_gell_mann_basis,
     random_density,
     reconstruct,
     validate_density,
 )
+from tests.bases import pauli_gell_mann_basis
 from tests.conftest import bell_diagonal_state, bloch_form, near_hermitian, rho_zero
 
 B2 = gell_mann_basis(2)

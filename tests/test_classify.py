@@ -20,7 +20,6 @@ from vnlift import (
     decompose,
     gell_mann_basis,
     numerical_rank,
-    pauli_gell_mann_basis,
     random_classical_classical,
     random_classical_quantum,
     random_density,
@@ -29,6 +28,7 @@ from vnlift import (
     validate_density,
 )
 from vnlift import classify
+from tests.bases import pauli_gell_mann_basis
 from tests.conftest import bell_diagonal_state, bloch_form, near_hermitian, rho_zero
 
 B2 = gell_mann_basis(2)

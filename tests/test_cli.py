@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from vnlift import (__version__, BellDiagonalVerdict, basis, cli, gell_mann_basis,
-                    pauli_gell_mann_basis, random_classical_quantum, random_density, sampler)
+                    random_classical_quantum, random_density, sampler)
 from vnlift.cli import main, matrix_to_pairs, pairs_to_matrix
 from tests.conftest import near_hermitian
 
@@ -490,13 +490,11 @@ def test_selftest_fails_when_one_dimension_fails(monkeypatch):
 def broken_basis(monkeypatch):
     # Off-diagonal elements of norm sqrt(2): gell_mann_basis now builds a
     # basis that is not orthonormal.
-    gell_mann_basis.cache_clear()
-    pauli_gell_mann_basis.cache_clear()
+    basis._gell_mann_basis.cache_clear()
     monkeypatch.setattr(basis, "_SQRT2", 1.0)
     yield
     monkeypatch.undo()
-    gell_mann_basis.cache_clear()
-    pauli_gell_mann_basis.cache_clear()
+    basis._gell_mann_basis.cache_clear()
 
 
 def test_selftest_fails_on_broken_basis(broken_basis, capsys):

@@ -24,11 +24,11 @@ from vnlift import (
     gell_mann_basis,
     lift_matrix,
     numerical_rank,
-    pauli_gell_mann_basis,
     random_unitary,
 )
 from vnlift import measurement
 from vnlift.measurement import MAX_CONSISTENCY_RESIDUAL, MAX_IDEMPOTENCY_DEFECT
+from tests.bases import pauli_gell_mann_basis
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 

@@ -38,14 +38,12 @@ PUBLIC_API = {
     "invariance_search",
     "lift_matrix",
     "numerical_rank",
-    "pauli_gell_mann_basis",
     "random_classical_classical",
     "random_classical_quantum",
     "random_density",
     "random_quantum_classical",
     "random_unitary",
     "reconstruct",
-    "swap_subsystems",
     "validate_density",
 }
 

@@ -17,7 +17,6 @@ from vnlift import (
     random_density,
     random_quantum_classical,
     random_unitary,
-    swap_subsystems,
     validate_density,
 )
 from vnlift import sampler
@@ -27,6 +26,7 @@ from vnlift.sampler import (
     _unitaries_by_gram_schmidt,
     _unitary_from_gaussian,
 )
+from tests.bases import swap_subsystems
 from tests.conftest import bell_diagonal_state, near_hermitian
 
 
@@ -373,8 +373,6 @@ def test_classical_samplers_are_deterministic():
 
 def test_state_functions_reject_wrong_shape():
     # A 2x8 array has the right number of entries for a 2x2 (x) 2x2 state.
-    with pytest.raises(ShapeError, match="state must be 4x4"):
-        swap_subsystems(np.ones((2, 8)), 2, 2)
     for side in ("left", "right"):
         with pytest.raises(ShapeError, match="state must be 4x4"):
             invariance_search(np.ones((2, 8)), 2, 2, side=side)
@@ -391,6 +389,15 @@ def test_samplers_reject_invalid_arguments():
 def test_swap_subsystems_involution():
     rho = random_density(6, 2)
     assert np.allclose(swap_subsystems(swap_subsystems(rho, 2, 3), 3, 2), rho)
+    a, b = random_density(2, 3), random_density(3, 4)
+    assert np.allclose(swap_subsystems(np.kron(a, b), 2, 3), np.kron(b, a))
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (3, 2), (4, 2), (3, 3)])
+def test_quantum_classical_is_the_swap_of_classical_quantum(m, n):
+    for seed in range(5):
+        want = swap_subsystems(random_classical_quantum(n, m, seed), n, m)
+        assert np.array_equal(random_quantum_classical(m, n, seed), want), seed
 
 
 def test_invariance_search_finds_generating_basis():
@@ -592,7 +599,7 @@ def as_state_calls(monkeypatch):
 
 def test_a_search_checks_its_state_once(as_state_calls):
     # The right side is read as a view of the checked state, not through
-    # swap_subsystems and a partial trace that would each check it again.
+    # a swapped copy and a partial trace that would each check it again.
     rho = random_density(6, 3)
     for side in ("left", "right"):
         as_state_calls.clear()
@@ -610,9 +617,27 @@ def test_a_float_trial_count_is_refused_before_the_search(as_state_calls):
     report = invariance_search(rho, 2, 2, trials=np.int64(50), seed=1)
     want = invariance_search(rho, 2, 2, trials=50, seed=1)
     assert report.trials == want.trials == 50
+    assert type(report.trials) is int
+    assert type(invariance_search(rho, 2, 2, trials=True, seed=1).trials) is int
     assert report.best_trial == want.best_trial
     assert report.best_residual == want.best_residual
     assert np.array_equal(report.best_measurement.unitary, want.best_measurement.unitary)
+
+
+def test_a_float_dimension_is_refused_before_the_search(as_state_calls):
+    # 2.0 used to pass as_state, since (4, 4) == (4.0, 4.0), and fail at the
+    # reshape, after the state was checked and its Hermitian part formed.
+    rho = random_density(4, 1)
+    for m, n in ((2.0, 2), (2, 2.0)):
+        for side in ("left", "right"):
+            with pytest.raises(TypeError):
+                invariance_search(rho, m, n, side=side, trials=50, seed=1)
+    assert as_state_calls == []
+    report = invariance_search(rho, np.int64(2), np.int64(2), trials=50, seed=1)
+    want = invariance_search(rho, 2, 2, trials=50, seed=1)
+    assert report.best_residual == want.best_residual
+    assert report.best_trial == want.best_trial
+    assert type(report.trials) is int
 
 
 def test_invariance_search_rejects_negative_seed():
